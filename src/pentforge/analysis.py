@@ -140,8 +140,8 @@ def two_olp_excluded(r: int) -> bool:
     point needs its own CCC opposite line, so CCC lines < C points excludes."""
     counts = two_olp_counts(r)
     excluded = counts["ccc_lines"] < counts["c_points"]
-    # Closed form of the same inequality.
-    assert excluded == ((2 * r - 19) ** 2 < 49)
+    if excluded != ((2 * r - 19) ** 2 < 49):
+        raise RuntimeError(f"census and closed form disagree at r={r}")
     return excluded
 
 

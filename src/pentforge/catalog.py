@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import defgraph
 from .analysis import count_olps, verify_pentagonal
-from .construct import (ConstructionError, Pbd, Sts, expand_orbits,
+from .construct import (ConstructionError, OrbitSpec, Pbd, Sts, expand_orbits,
                         parse_orbit, parse_pbd, parse_sts)
-from .core import Design, ParseError, parse_design, records
+from .core import (Design, ParseError, Schema, kind_is, parse_design,
+                   read_records, records)
 
 
 class UnknownEntryError(KeyError):
@@ -58,7 +59,7 @@ def _parse_manifest(text: str) -> list[CatalogEntry]:
         edges = tuple(sorted(current.pop("deficiency_edges", ())))  # type: ignore[arg-type]
         entries.append(CatalogEntry(deficiency_edges=edges, **current))  # type: ignore[arg-type]
 
-    for key, value in records(text):
+    for _, key, value in records(text):
         if key == "entry":
             flush()
             current = {"id": value, "deficiency_edges": []}
@@ -100,76 +101,45 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 # encoded as family*m + j, developed by j -> j+1 simultaneously in every
 # family.  Used by the hand-built systems given with lettered point names.
 
-@dataclass(frozen=True)
-class FamilyOrbitSpec:
-    families: int
-    modulus: int
-    k: int
-    bases: tuple[tuple[int, ...], ...]  # points already encoded as fam*m + j
-    r: int | None = None
-    expected_lines: int | None = None
+# Alias, not a second developer: bench/tracing.py traces calls by this name.
+expand_family_orbits = expand_orbits
 
 
-def expand_family_orbits(spec: FamilyOrbitSpec) -> Design:
-    m = spec.modulus
-    v = spec.families * m
-    lines: set[tuple[int, ...]] = set()
-    for base in spec.bases:
-        for shift in range(m):
-            line = tuple(sorted((p // m) * m + (p % m + shift) % m for p in base))
-            if line in lines:
-                raise ConstructionError(
-                    f"duplicate generated line {line} (base {base}, shift {shift})")
-            lines.add(line)
-    if spec.expected_lines is not None and len(lines) != spec.expected_lines:
-        raise ConstructionError(
-            f"expected {spec.expected_lines} lines, generated {len(lines)}")
-    return Design.make(v=v, k=spec.k, lines=lines, r_claimed=spec.r, kind="pent")
+def _labels(value: str) -> tuple[tuple[int, int], ...]:
+    """Converter for point labels `a0 b7 ...`: (family, residue) pairs."""
+    pairs = tuple((ord(label[0]) - ord("a"), int(label[1:])) for label in value.split())
+    if any(family < 0 or j < 0 for family, j in pairs):
+        raise ValueError("labels are a family letter and a residue")
+    return pairs
 
 
-def _label_point(label: str, modulus: int) -> int:
-    family = ord(label[0]) - ord("a")
-    j = int(label[1:])
-    if family < 0 or j < 0 or j >= modulus:
-        raise ParseError(f"bad point label {label!r}")
-    return family * modulus + j
+FORBIT = Schema("forbit",
+                header={"kind": (kind_is("forbit"), False), "families": (int, True),
+                        "modulus": (int, True), "k": (int, True), "r": (int, False),
+                        "lines": (int, False)},
+                repeated={"base": _labels})
 
 
-def parse_family_orbit(text: str) -> FamilyOrbitSpec:
-    header: dict[str, int] = {}
-    bases: list[tuple[int, ...]] = []
-    raw_bases: list[list[str]] = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "forbit":
-                raise ParseError(f"expected kind forbit, got {value!r}")
-        elif key == "base":
-            raw_bases.append(value.split())
-        elif key in ("families", "modulus", "k", "r", "lines"):
-            header[key] = int(value)
-        else:
-            raise ParseError(f"unknown field {key!r} in forbit file")
-    for req in ("families", "modulus", "k"):
-        if req not in header:
-            raise ParseError(f"forbit file missing {req!r}")
-    m = header["modulus"]
-    for raw in raw_bases:
-        bases.append(tuple(_label_point(lbl, m) for lbl in raw))
-    return FamilyOrbitSpec(families=header["families"], modulus=m,
-                           k=header["k"], bases=tuple(bases),
-                           r=header.get("r"), expected_lines=header.get("lines"))
+def parse_family_orbit(text: str) -> OrbitSpec:
+    f = read_records(text, FORBIT)
+    m = f["modulus"]
+    if any(j >= m for base in f["base"] for _, j in base):
+        raise ParseError(f"a point label has a residue outside 0..{m - 1}")
+    bases = tuple(tuple(family * m + j for family, j in base) for base in f["base"])
+    return OrbitSpec(modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
+                     expected_lines=f["lines"], families=f["families"])
 
 
 # ---------------------------------------------------------------------------
 # Loading and verification
 
 def _load_payload(path: Path) -> Design:
+    """Parse a catalog payload by its suffix: .orbit, .forbit or .design."""
     text = path.read_text()
-    kind = dict(records(text)).get("kind")
-    if kind == "orbit":
+    if path.suffix == ".orbit":
         return expand_orbits(parse_orbit(text))
-    if kind == "forbit":
-        return expand_family_orbits(parse_family_orbit(text))
+    if path.suffix == ".forbit":
+        return expand_orbits(parse_family_orbit(text))
     return parse_design(text)
 
 

@@ -81,7 +81,7 @@ def cmd_verify(args, out) -> int:
 def cmd_analyze(args, out) -> int:
     design = parse_design(_read(args.file))
     report = verify_pentagonal(design)
-    if not report.ok:
+    if not report.ok or report.r is None:
         _machine(out, pentagonal=False)
         return EXIT_INVALID
     graph = defgraph.build_deficiency(design)
@@ -91,7 +91,6 @@ def cmd_analyze(args, out) -> int:
     for comp, tag, detail in cls.components:
         print(f"component: {len(comp)} vertices, {tag}"
               + (f" (girth {detail})" if tag != "K_kk" else ""), file=out)
-    assert report.r is not None
     _machine(out, pentagonal=True, v=design.v, b=design.b, k=design.k,
              r=report.r, olp_count=olps.q,
              max_olp_bound=(max_olps_bound(report.r) if design.k == 3 else "n/a"),
@@ -109,23 +108,10 @@ def cmd_expand(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_build_bose(args, out) -> int:
-    sts = parse_sts(_read(args.sts))
+def cmd_build(args, out) -> int:
+    ingredient = args.parse(_read(args.source))
     try:
-        design = bose_pent3(sts, args.drop)
-    except ConstructionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
-    design = _verified(design, args.no_verify)
-    _emit_design(design, args.out, out)
-    _machine(out, v=design.v, b=design.b, k=design.k,
-             olp_count=count_olps(design).q)
-    return EXIT_OK
-
-
-def cmd_build_pbd(args, out) -> int:
-    pbd = parse_pbd(_read(args.pbd))
-    try:
-        design = pbd_pent3(pbd, args.drop)
+        design = args.construct(ingredient, args.drop)
     except ConstructionError as exc:
         raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
     design = _verified(design, args.no_verify)
@@ -256,18 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="run a named construction")
     bsub = p.add_subparsers(dest="builder", required=True)
-    pb = bsub.add_parser("bose", help="pentagonal geometry from a Steiner triple system")
-    pb.add_argument("--sts", required=True)
-    pb.add_argument("--drop", type=int, required=True)
-    pb.add_argument("--out")
-    pb.add_argument("--no-verify", action="store_true")
-    pb.set_defaults(func=cmd_build_bose)
-    pp = bsub.add_parser("pbd", help="pentagonal geometry from a PBD with one 5-block")
-    pp.add_argument("--pbd", required=True)
-    pp.add_argument("--drop", type=int, required=True)
-    pp.add_argument("--out")
-    pp.add_argument("--no-verify", action="store_true")
-    pp.set_defaults(func=cmd_build_pbd)
+    for name, ingredient, parse, construct, help in (
+            ("bose", "sts", parse_sts, bose_pent3,
+             "pentagonal geometry from a Steiner triple system"),
+            ("pbd", "pbd", parse_pbd, pbd_pent3,
+             "pentagonal geometry from a PBD with one 5-block")):
+        pb = bsub.add_parser(name, help=help)
+        pb.add_argument(f"--{ingredient}", dest="source",
+                        metavar=ingredient.upper(), required=True)
+        pb.add_argument("--drop", type=int, required=True)
+        pb.add_argument("--out")
+        pb.add_argument("--no-verify", action="store_true")
+        pb.set_defaults(func=cmd_build, parse=parse, construct=construct)
 
     p = sub.add_parser("compose", help="overlay part geometries on a GDD")
     p.add_argument("--gdd", required=True)

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Design, DesignError, ParseError, PairCoverage, records
+from .core import (Design, DesignError, PairCoverage, Schema, kind_is,
+                   point_set, points, read_records)
 from .analysis import verify_pentagonal
 
 
@@ -20,65 +21,66 @@ class ConstructionError(DesignError):
 
 @dataclass(frozen=True)
 class OrbitSpec:
+    """Base blocks on `families` copies of Z_modulus.  Point f*modulus + j is
+    residue j of family f; a plain cyclic orbit file has one family."""
     modulus: int
     step: int
     k: int
     bases: tuple[tuple[int, ...], ...]
     r: int | None = None
     expected_lines: int | None = None
+    families: int = 1
 
     def __post_init__(self):
         if self.step <= 0 or self.modulus % self.step != 0:
             raise ConstructionError(
                 f"step {self.step} must be positive and divide modulus {self.modulus}")
+        v = self.families * self.modulus
         for base in self.bases:
-            if len(set(p % self.modulus for p in base)) != self.k:
+            if len(set(base)) != self.k or not all(0 <= p < v for p in base):
                 raise ConstructionError(f"bad base block {base}")
 
 
 def expand_orbits(spec: OrbitSpec) -> Design:
-    """Develop each base block under x -> x + step (mod modulus).
+    """Develop each base block under j -> j + step (mod modulus), applied to
+    the residue of every point at once, keeping each point's family.
 
     Every orbit must have full length modulus/step and all generated lines
     must be distinct; a repeat signals a transcription error in the base blocks.
     """
-    n, c = spec.modulus, spec.step
+    m = spec.modulus
     lines: set[tuple[int, ...]] = set()
     for base in spec.bases:
-        for j in range(n // c):
-            line = tuple(sorted((p + j * c) % n for p in base))
+        split = [(p - p % m, p % m) for p in base]
+        for s in range(0, m, spec.step):
+            line = tuple(sorted(f + (j + s) % m for f, j in split))
             if line in lines:
                 raise ConstructionError(
-                    f"duplicate generated line {line} (base {base}, shift {j * c})")
+                    f"duplicate generated line {line} (base {base}, shift {s})")
             lines.add(line)
     if spec.expected_lines is not None and len(lines) != spec.expected_lines:
         raise ConstructionError(
             f"expected {spec.expected_lines} lines, generated {len(lines)}")
-    return Design.make(v=n, k=spec.k, lines=lines, r_claimed=spec.r, kind="pent")
+    return Design.make(v=spec.families * m, k=spec.k, lines=lines,
+                       r_claimed=spec.r, kind="pent")
+
+
+ORBIT = Schema("orbit",
+               header={"kind": (kind_is("orbit"), False), "modulus": (int, True),
+                       "step": (int, True), "k": (int, True), "r": (int, False),
+                       "lines": (int, False)},
+               repeated={"base": points})
 
 
 def parse_orbit(text: str) -> OrbitSpec:
-    header: dict[str, int] = {}
-    bases: list[tuple[int, ...]] = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "orbit":
-                raise ParseError(f"expected kind orbit, got {value!r}")
-        elif key == "base":
-            bases.append(tuple(int(p) for p in value.split()))
-        elif key in ("modulus", "step", "k", "r", "lines"):
-            header[key] = int(value)
-        else:
-            raise ParseError(f"unknown field {key!r} in orbit file")
-    for req in ("modulus", "step", "k"):
-        if req not in header:
-            raise ParseError(f"orbit file missing {req!r}")
-    return OrbitSpec(modulus=header["modulus"], step=header["step"],
-                     k=header["k"], bases=tuple(bases),
-                     r=header.get("r"), expected_lines=header.get("lines"))
+    f = read_records(text, ORBIT)
+    return OrbitSpec(modulus=f["modulus"], step=f["step"], k=f["k"],
+                     bases=tuple(f["base"]), r=f["r"], expected_lines=f["lines"])
 
 
 def serialize_orbit(spec: OrbitSpec) -> str:
+    if spec.families != 1:
+        raise ConstructionError("the orbit file format has a single family")
     out = ["kind: orbit", f"modulus: {spec.modulus}", f"step: {spec.step}",
            f"k: {spec.k}"]
     if spec.r is not None:
@@ -156,7 +158,8 @@ def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],
                             what: str) -> None:
     cov = PairCoverage(v)
     for block in blocks:
-        if len(set(block)) != len(block) or min(block) < 0 or max(block) >= v:
+        if (not block or len(set(block)) != len(block) or min(block) < 0
+                or max(block) >= v):
             raise ConstructionError(f"{what}: bad block {block}")
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
@@ -191,17 +194,26 @@ def sts_bose(n: int) -> Sts:
     return bose_sts(cyclic_idempotent_quasigroup(n // 3))
 
 
-def steiner_quasigroup(s: Sts) -> Quasigroup:
-    """x*x = x; x*y = the third point of the triple through x and y."""
-    s.check()
-    table = [[x if x == y else -1 for y in range(s.v)] for x in range(s.v)]
-    for x, y, z in s.triples:
+def _triple_table(v: int, triples: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """x*x = x; x*y = the third point of the triple through x and y (-1 if none)."""
+    table = [[x if x == y else -1 for y in range(v)] for x in range(v)]
+    for x, y, z in triples:
         table[x][y] = table[y][x] = z
         table[x][z] = table[z][x] = y
         table[y][z] = table[z][y] = x
-    q = Quasigroup(order=s.v, table=tuple(tuple(row) for row in table))
+    return table
+
+
+def _checked_quasigroup(table: list[list[int]]) -> Quasigroup:
+    q = Quasigroup(order=len(table), table=tuple(tuple(row) for row in table))
     q.check()
     return q
+
+
+def steiner_quasigroup(s: Sts) -> Quasigroup:
+    """x*x = x; x*y = the third point of the triple through x and y."""
+    s.check()
+    return _checked_quasigroup(_triple_table(s.v, s.triples))
 
 
 def _pent3_from_quasigroup(q: Quasigroup, a: int) -> Design:
@@ -237,18 +249,12 @@ def pbd_pent3(p: Pbd, a: int) -> Design:
         raise ConstructionError(f"drop point {a} not in 0..{p.v - 1}")
     dist = tuple(sorted(p.distinguished))
     pos = {pt: i for i, pt in enumerate(dist)}
-    table = [[x if x == y else -1 for y in range(p.v)] for x in range(p.v)]
-    for x, y, z in p.triples:
-        table[x][y] = table[y][x] = z
-        table[x][z] = table[z][x] = y
-        table[y][z] = table[z][y] = x
+    table = _triple_table(p.v, p.triples)
     for x in dist:
         for y in dist:
             if x != y:
                 table[x][y] = dist[(pos[x] + pos[y]) * 3 % 5]
-    q = Quasigroup(order=p.v, table=tuple(tuple(row) for row in table))
-    q.check()
-    return _pent3_from_quasigroup(q, a)
+    return _pent3_from_quasigroup(_checked_quasigroup(table), a)
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +275,11 @@ class Gdd:
         seen = sorted(p for g in self.groups for p in g)
         if seen != list(range(self.v)):
             raise ConstructionError("groups do not partition the point set")
-        cov = PairCoverage(self.v)
-        for g in self.groups:
-            for i in range(len(g)):
-                for j in range(i + 1, len(g)):
-                    cov.add(g[i], g[j])
-        group_of = {}
-        for gi, g in enumerate(self.groups):
-            for p in g:
-                group_of[p] = gi
         for block in self.blocks:
-            if len(set(block)) != self.k:
+            if len(block) != self.k:
                 raise ConstructionError(f"block {block} is not a {self.k}-set")
-            if len({group_of[p] for p in block}) != self.k:
-                raise ConstructionError(f"block {block} meets a group twice")
-            for i in range(self.k):
-                for j in range(i + 1, self.k):
-                    if cov.add(block[i], block[j]) > 1:
-                        raise ConstructionError(
-                            f"pair ({block[i]},{block[j]}) covered twice "
-                            "(group/block overlap or repeated block)")
-        for x in range(self.v):
-            for y in range(x + 1, self.v):
-                if cov.count(x, y) != 1:
-                    raise ConstructionError(f"pair ({x},{y}) uncovered")
+        # Exact cover of groups plus blocks also means no block meets a group twice.
+        _check_exact_pair_cover(self.v, self.groups + self.blocks, what="GDD")
 
 
 def td3(g: int) -> Gdd:
@@ -348,71 +335,35 @@ def gdd_compose(gdd: Gdd, parts: Sequence[tuple[int, Design]]) -> Design:
 # ---------------------------------------------------------------------------
 # Ingredient file parsers
 
+STS = Schema("sts", header={"kind": (kind_is("sts"), False), "v": (int, True)},
+             repeated={"triple": point_set})
+PBD = Schema("pbd", header={"kind": (kind_is("pbd"), False), "v": (int, True),
+                            "distinguished": (point_set, True)},
+             repeated={"triple": point_set})
+GDD = Schema("gdd", header={"kind": (kind_is("gdd"), False), "v": (int, True),
+                            "k": (int, True)},
+             repeated={"group": point_set, "block": point_set})
+
+
 def parse_sts(text: str) -> Sts:
-    v = None
-    triples = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "sts":
-                raise ParseError(f"expected kind sts, got {value!r}")
-        elif key == "v":
-            v = int(value)
-        elif key == "triple":
-            triples.append(tuple(sorted(int(p) for p in value.split())))
-        else:
-            raise ParseError(f"unknown field {key!r} in sts file")
-    if v is None:
-        raise ParseError("sts file missing 'v:'")
-    sts = Sts(v=v, triples=tuple(sorted(triples)))
+    f = read_records(text, STS)
+    sts = Sts(v=f["v"], triples=tuple(sorted(f["triple"])))
     sts.check()
     return sts
 
 
 def parse_pbd(text: str) -> Pbd:
-    v = None
-    distinguished = None
-    triples = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "pbd":
-                raise ParseError(f"expected kind pbd, got {value!r}")
-        elif key == "v":
-            v = int(value)
-        elif key == "distinguished":
-            distinguished = tuple(sorted(int(p) for p in value.split()))
-        elif key == "triple":
-            triples.append(tuple(sorted(int(p) for p in value.split())))
-        else:
-            raise ParseError(f"unknown field {key!r} in pbd file")
-    if v is None or distinguished is None:
-        raise ParseError("pbd file missing 'v:' or 'distinguished:'")
-    pbd = Pbd(v=v, distinguished=distinguished, triples=tuple(sorted(triples)))
+    f = read_records(text, PBD)
+    pbd = Pbd(v=f["v"], distinguished=f["distinguished"],
+              triples=tuple(sorted(f["triple"])))
     pbd.check()
     return pbd
 
 
 def parse_gdd(text: str) -> Gdd:
-    v = None
-    k = None
-    groups = []
-    blocks = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "gdd":
-                raise ParseError(f"expected kind gdd, got {value!r}")
-        elif key == "v":
-            v = int(value)
-        elif key == "k":
-            k = int(value)
-        elif key == "group":
-            groups.append(tuple(sorted(int(p) for p in value.split())))
-        elif key == "block":
-            blocks.append(tuple(sorted(int(p) for p in value.split())))
-        else:
-            raise ParseError(f"unknown field {key!r} in gdd file")
-    if v is None or k is None:
-        raise ParseError("gdd file missing 'v:' or 'k:'")
-    gdd = Gdd(v=v, k=k, groups=tuple(groups), blocks=tuple(sorted(blocks)))
+    f = read_records(text, GDD)
+    gdd = Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
+              blocks=tuple(sorted(f["block"])))
     gdd.check()
     return gdd
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 KINDS = ("pent", "pls", "raw")
 
@@ -160,8 +160,9 @@ def divisibility_ok(k: int, r: int) -> bool:
     return r * (r - 1) % k == 0
 
 
-def records(text: str) -> list[tuple[str, str]]:
-    """Split a key/value file into (key, value) records, dropping comments."""
+def records(text: str) -> list[tuple[int, str, str]]:
+    """Split a key/value file into (line number, key, value) records,
+    dropping comments and blank lines."""
     recs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
@@ -170,43 +171,88 @@ def records(text: str) -> list[tuple[str, str]]:
         if ":" not in stripped:
             raise ParseError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key, value = stripped.split(":", 1)
-        recs.append((key.strip(), value.strip()))
+        recs.append((lineno, key.strip(), value.strip()))
     return recs
 
 
-def _int_field(recs: dict[str, str], key: str) -> int:
-    if key not in recs:
-        raise ParseError(f"missing required field {key!r}")
+Converter = Callable[[str], Any]
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One `key: value` file format.  Header fields (name -> (converter,
+    required)) appear at most once; repeated fields (name -> converter) any
+    number of times.  `kind` is a header field like any other."""
+    name: str
+    header: dict[str, tuple[Converter, bool]]
+    repeated: dict[str, Converter]
+
+
+def kind_is(*kinds: str) -> Converter:
+    """Converter accepting only the given `kind:` values."""
+    def convert(value: str) -> str:
+        if value not in kinds:
+            raise ValueError(f"expected {' or '.join(kinds)}")
+        return value
+    return convert
+
+
+def points(value: str) -> tuple[int, ...]:
+    """Converter for a space-separated list of integer points."""
+    return tuple(map(int, value.split()))
+
+
+def point_set(value: str) -> tuple[int, ...]:
+    """Like `points`, sorted."""
+    return tuple(sorted(map(int, value.split())))
+
+
+def read_records(text: str, schema: Schema) -> dict[str, Any]:
+    """Read a file of the given format into converted fields.
+
+    Each header field maps to its value, or None when absent; each repeated
+    field maps to the list of its values in file order.  Unknown keys,
+    duplicate header fields, missing required fields and values a converter
+    cannot read are ParseErrors.
+    """
+    fields: dict[str, Any] = {key: [] for key in schema.repeated}
+    lineno, key, value = 0, "", ""
     try:
-        return int(recs[key])
-    except ValueError:
-        raise ParseError(f"field {key!r} is not an integer: {recs[key]!r}") from None
+        for lineno, key, value in records(text):
+            convert = schema.repeated.get(key)
+            if convert is not None:
+                fields[key].append(convert(value))
+            elif key in fields:
+                raise ParseError(f"line {lineno}: duplicate header field {key!r}")
+            elif key in schema.header:
+                fields[key] = schema.header[key][0](value)
+            else:
+                raise ParseError(
+                    f"line {lineno}: unknown field {key!r} in {schema.name} file")
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bad {key} value {value!r}: {exc}") from None
+    for key, (_, required) in schema.header.items():
+        if key not in fields:
+            if required:
+                raise ParseError(f"{schema.name} file missing required field {key!r}")
+            fields[key] = None
+    return fields
+
+
+DESIGN = Schema("design",
+                header={"kind": (kind_is(*KINDS), False), "v": (int, True),
+                        "k": (int, True), "r": (int, False)},
+                repeated={"line": points})
 
 
 def parse_design(text: str) -> Design:
     """Parse the line-oriented design file format into a normalized Design."""
-    header: dict[str, str] = {}
-    lines: list[tuple[int, ...]] = []
-    for key, value in records(text):
-        if key == "line":
-            try:
-                lines.append(tuple(int(p) for p in value.split()))
-            except ValueError:
-                raise ParseError(f"bad line record: {value!r}") from None
-        elif key in ("kind", "v", "k", "r"):
-            if key in header:
-                raise ParseError(f"duplicate header field {key!r}")
-            header[key] = value
-        else:
-            raise ParseError(f"unknown field {key!r} in design file")
-    kind = header.get("kind", "pent")
-    if kind not in KINDS:
-        raise ParseError(f"unknown design kind {kind!r}")
-    v = _int_field(header, "v")
-    k = _int_field(header, "k")
-    r = int(header["r"]) if "r" in header else None
+    f = read_records(text, DESIGN)
     try:
-        return Design.make(v=v, k=k, lines=lines, r_claimed=r, kind=kind)
+        return Design.make(v=f["v"], k=f["k"], lines=f["line"], r_claimed=f["r"],
+                           kind=f["kind"] or "pent")
     except DesignError as exc:
         if "duplicate line" in str(exc):
             raise

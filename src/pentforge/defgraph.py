@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Design, PairCoverage, ParseError, records
+from .core import Design, PairCoverage, ParseError, Schema, kind_is, read_records
 
 INFINITE_GIRTH = math.inf
 
@@ -207,29 +207,20 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _edge(value: str) -> tuple[int, int]:
+    u, w = map(int, value.split())
+    return u, w
+
+
+GRAPH = Schema("graph", header={"kind": (kind_is("graph"), True), "v": (int, True)},
+               repeated={"edge": _edge})
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: kind/v header plus edge records."""
-    n = None
-    kind_seen = False
-    edges: list[tuple[int, int]] = []
-    for key, value in records(text):
-        if key == "kind":
-            if value != "graph":
-                raise ParseError(f"expected kind graph, got {value!r}")
-            kind_seen = True
-        elif key == "v":
-            n = int(value)
-        elif key == "edge":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad edge record: {value!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        else:
-            raise ParseError(f"unknown field {key!r} in graph file")
-    if not kind_seen or n is None:
-        raise ParseError("graph file needs 'kind: graph' and 'v:' headers")
+    f = read_records(text, GRAPH)
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(f["v"], f["edge"])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

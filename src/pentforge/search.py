@@ -218,7 +218,8 @@ def _exact_cover(g: Graph, k: int, r: int, forced: list[tuple[int, ...]],
                     return False
                 if len(cands) == 1:
                     break
-        assert best_cands is not None
+        if best_cands is None:
+            raise RuntimeError("no uncovered pair to branch on")
         for line in best_cands:
             pairs = [pair(a, b) for a, b in itertools.combinations(line, 2)]
             for pr in pairs:

@@ -2,9 +2,8 @@ import pytest
 
 from pentforge import catalog
 from pentforge.analysis import count_olps
-from pentforge.catalog import (FamilyOrbitSpec, UnknownEntryError,
-                               expand_family_orbits, parse_family_orbit)
-from pentforge.construct import ConstructionError
+from pentforge.catalog import UnknownEntryError, parse_family_orbit
+from pentforge.construct import ConstructionError, OrbitSpec, expand_orbits
 from pentforge.defgraph import build_deficiency, girth
 from tests.conftest import check_universal
 
@@ -66,21 +65,22 @@ def test_fault_injection_detected(tmp_path, monkeypatch):
 
 def test_family_orbit_expansion_minimal():
     # two families over Z_3: base {a0, a1, b0} develops to 3 lines
-    spec = FamilyOrbitSpec(families=2, modulus=3, k=3, bases=((0, 1, 3),))
-    d = expand_family_orbits(spec)
+    spec = OrbitSpec(families=2, modulus=3, step=1, k=3, bases=((0, 1, 3),))
+    d = expand_orbits(spec)
     assert d.b == 3 and d.v == 6
 
 
 def test_family_orbit_duplicate_detection():
-    spec = FamilyOrbitSpec(families=1, modulus=3, k=3, bases=((0, 1, 2),))
+    spec = OrbitSpec(families=1, modulus=3, step=1, k=3, bases=((0, 1, 2),))
     with pytest.raises(ConstructionError, match="duplicate"):
-        expand_family_orbits(spec)
+        expand_orbits(spec)
 
 
 def test_parse_family_orbit_labels():
     spec = parse_family_orbit(
         "kind: forbit\nfamilies: 2\nmodulus: 17\nk: 3\nbase: a7 b0 b1\n")
     assert spec.bases == ((7, 17, 18),)
+    assert (spec.families, spec.step) == (2, 1)
 
 
 def test_orbit_entries_have_full_orbits():

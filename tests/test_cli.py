@@ -184,3 +184,33 @@ def test_machine_block_keys_stable():
     _, out = invoke(["verify", catalog_file("pent3_9_olp1")])
     keys = [line.split(":")[0] for line in out.strip().splitlines()]
     assert keys == ["pentagonal", "v", "b", "k", "r", "olp_count"]
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_malformed_numbers_exit_2(tmp_path):
+    cases = [
+        ["verify", _write(tmp_path, "d.design", "v: 6\nk: 3\nr: q\nline: 0 1 2\n")],
+        ["expand", _write(tmp_path, "o.orbit",
+                          "kind: orbit\nmodulus: x\nstep: 1\nk: 3\nbase: 0 1 3\n")],
+        ["build", "bose", "--drop", "0", "--sts",
+         _write(tmp_path, "s.sts", "kind: sts\nv: 7\ntriple: 0 1 z\n")],
+        ["complete", "--k", "3", "--r", "1", "--graph",
+         _write(tmp_path, "g.graph", "kind: graph\nv: 6\nedge: 0 a\n")],
+    ]
+    for argv in cases:
+        code, out = invoke(argv)
+        assert (code, out.split(":")[0]) == (2, "parse error"), argv
+
+
+def test_compose_gdd_block_outside_points_exits_4(tmp_path):
+    gdd = _write(tmp_path, "g.gdd", "kind: gdd\nv: 3\nk: 3\ngroup: 0\ngroup: 1\n"
+                 "group: 2\nblock: 0 1 5\n")
+    part = _write(tmp_path, "p.design", serialize_design(degenerate_pent(3)))
+    code, out = invoke(["compose", "--gdd", gdd, "--part", part])
+    assert code == 4
+    assert "bad block" in out

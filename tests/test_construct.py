@@ -240,3 +240,20 @@ def test_sts_pbd_parsers_reject_unknown_kind():
         parse_sts("kind: pbd\nv: 7\n")
     with pytest.raises(ParseError):
         parse_pbd("kind: sts\nv: 11\n")
+
+
+def test_orbit_spec_rejects_base_point_outside_families():
+    with pytest.raises(ConstructionError, match="bad base block"):
+        OrbitSpec(modulus=7, step=1, k=3, bases=((0, 1, 7),))
+    OrbitSpec(modulus=7, step=1, k=3, bases=((0, 1, 7),), families=2)
+
+
+def test_orbit_development_keeps_families_apart():
+    d = expand_orbits(OrbitSpec(modulus=4, step=2, k=2, bases=((1, 6),), families=2))
+    assert d.v == 8 and d.lines == ((1, 6), (3, 4))
+
+
+def test_serialize_orbit_refuses_several_families():
+    spec = OrbitSpec(modulus=3, step=1, k=2, bases=((0, 3),), families=2)
+    with pytest.raises(ConstructionError, match="single family"):
+        serialize_orbit(spec)
