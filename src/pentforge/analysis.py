@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import defgraph
-from .core import Design, VerificationReport, parameters, divisibility_ok, verify_pls
+from .core import (Design, DesignError, VerificationReport, parameters, divisibility_ok,
+                   verify_pls)
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,18 @@ class SpectrumFact:
 
 
 def opposite_line(d: Design, x: int) -> tuple[int, ...]:
-    """Points not collinear with x (x itself counts as collinear with x)."""
-    collinear = bytearray(d.v)
-    collinear[x] = 1
-    for line in d.lines:
-        if x in line:
-            for p in line:
-                collinear[p] = 1
-    return tuple(p for p in range(d.v) if not collinear[p])
+    """Points not collinear with x (x itself counts as collinear with x),
+    read from the design's incidence index.  DesignError for x outside
+    0..v-1."""
+    if not 0 <= x < d.v:
+        raise DesignError(f"point {x} outside 0..{d.v - 1}")
+    return d.incidence.opposites[x]
 
 
 def opposite_line_map(d: Design) -> OppositeLineMap:
-    line_of = {line: i for i, line in enumerate(d.lines)}
-    opposites = tuple(opposite_line(d, x) for x in range(d.v))
-    indices = tuple(line_of.get(opp) for opp in opposites)
-    return OppositeLineMap(opposites=opposites, line_index=indices)
+    incidence = d.incidence
+    return OppositeLineMap(opposites=incidence.opposites,
+                           line_index=incidence.opposite_index)
 
 
 def verify_pentagonal(d: Design) -> PentReport:
@@ -76,14 +74,11 @@ def verify_pentagonal(d: Design) -> PentReport:
             violations.append(("count-mismatch", (d.v, d.b, v_expect, b_expect)))
     ok = pls.ok
     if ok:
-        line_set = set(d.lines)
-        for x in range(d.v):
-            opp = opposite_line(d, x)
-            if opp not in line_set:
+        incidence = d.incidence
+        for x, opp in enumerate(incidence.opposites):
+            if incidence.opposite_index[x] is None:
                 ok = False
                 violations.append(("opposite-not-a-line", (x, opp)))
-    else:
-        ok = False
     return PentReport(ok=ok and count_consistent, pls=pls, v=d.v, b=d.b, r=r,
                       count_consistent=count_consistent,
                       violations=tuple(violations))
@@ -92,17 +87,17 @@ def verify_pentagonal(d: Design) -> PentReport:
 def count_olps(d: Design) -> OlpSet:
     """All mutual opposite line pairs, found two ways (definition and K_{k,k}
     components of the deficiency graph) which must agree."""
-    omap = opposite_line_map(d)
-    line_of = {line: i for i, line in enumerate(d.lines)}
+    incidence = d.incidence
+    opposites = incidence.opposites
     pairs = set()
     for line in d.lines:
-        opps = {omap.opposites[x] for x in line}
+        opps = {opposites[x] for x in line}
         if len(opps) != 1:
             continue
         m = opps.pop()
-        if m not in line_of:
+        if incidence.opposite_index[line[0]] is None:
             continue
-        if all(omap.opposites[y] == line for y in m):
+        if all(opposites[y] == line for y in m):
             pairs.add(tuple(sorted((line, m))))
     # Cross-check against the structural signature.
     cls = defgraph.classify(defgraph.build_deficiency(d), d.k)

@@ -3,13 +3,16 @@
 A Design is a finite incidence structure on points 0..v-1 with lines of a
 fixed size k.  Lines are kept in canonical form (sorted within each line,
 lines sorted lexicographically) so that equality, diffing and serialization
-are deterministic.
+are deterministic.  Each Design builds one Incidence index on first use and
+keeps it; every analysis of the design reads from that index.
 """
 
 from __future__ import annotations
 
 import array
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 KINDS = ("pent", "pls", "raw")
@@ -57,16 +60,63 @@ class Design:
     def b(self) -> int:
         return len(self.lines)
 
-    def lines_through(self) -> list[list[int]]:
+    @cached_property
+    def incidence(self) -> "Incidence":
+        """The design's incidence index, built on first use and kept on the
+        instance (`make` does not build it)."""
+        return Incidence(self)
+
+    def lines_through(self) -> tuple[tuple[int, ...], ...]:
         """Index of line numbers through each point."""
-        through: list[list[int]] = [[] for _ in range(self.v)]
-        for i, line in enumerate(self.lines):
-            for p in line:
-                through[p].append(i)
-        return through
+        return self.incidence.through
 
     def replication(self) -> list[int]:
-        return [len(ls) for ls in self.lines_through()]
+        return [len(ls) for ls in self.incidence.through]
+
+
+class Incidence:
+    """Point-line index of one Design, built by `Design.incidence`.
+
+    `through[x]` holds the numbers of the lines through x, ascending;
+    `opposites[x]` the points not collinear with x, sorted; `opposite_index[x]`
+    the number of the line equal to `opposites[x]`, or None; `multi_covered`
+    the pairs (x, y), x < y, that more than one line covers, sorted;
+    `deficiency` the deficiency graph once `defgraph.build_deficiency` made it.
+
+    x is collinear with exactly the points on the r lines through it, so its
+    opposite set costs O(r*k) plus one set difference over the points (in a
+    PENT(k,r), v = rk - r + k + 1); a point met twice there shares two lines
+    with x.  The line equal to an opposite set passes through its first point,
+    so it is found in O(r).  No line or pair dictionary is kept: on PENT(3,199)
+    a line dictionary alone (1.3 MB) would nearly double the index.
+    """
+
+    def __init__(self, d: Design):
+        lines = d.lines
+        through: list[list[int]] = [[] for _ in range(d.v)]
+        for i, line in enumerate(lines):
+            for p in line:
+                through[p].append(i)
+        self.through = tuple(map(tuple, through))
+        everyone = set(range(d.v))
+        opposites = []
+        multi_covered = []
+        for x, ls in enumerate(self.through):
+            met = [p for i in ls for p in lines[i]]
+            collinear = set(met)
+            collinear.add(x)
+            # Without a repeat, x is met once per line and every other point once.
+            if len(collinear) < len(met) - len(ls) + 1:
+                times = Counter(met)
+                multi_covered += [(x, y) for y in sorted(times) if y > x and times[y] > 1]
+            opposites.append(tuple(sorted(everyone - collinear)))
+        self.opposites = tuple(opposites)
+        self.opposite_index = tuple(
+            next((i for i in self.through[opp[0]] if lines[i] == opp), None)
+            if opp else None
+            for opp in self.opposites)
+        self.multi_covered = tuple(multi_covered)
+        self.deficiency: Any = None
 
 
 class PairCoverage:
@@ -116,6 +166,8 @@ def verify_pls(d: Design) -> VerificationReport:
     """Check the partial-linear-space, uniformity and regularity conditions.
 
     Violations are report content, never exceptions; each carries a witness.
+    A pair that several lines cover gives one `pair-covered-twice`, in (x, y)
+    order.  Reads the design's incidence index, building it if need be.
     """
     violations: list[tuple[str, tuple]] = []
     is_uniform = True
@@ -123,13 +175,9 @@ def verify_pls(d: Design) -> VerificationReport:
         if len(line) != d.k:
             is_uniform = False
             violations.append(("nonuniform-line", line))
-    cov = PairCoverage.of(d)
-    is_pls = True
-    for x in range(d.v):
-        for y in range(x + 1, d.v):
-            if cov.count(x, y) > 1:
-                is_pls = False
-                violations.append(("pair-covered-twice", (x, y)))
+    incidence = d.incidence
+    is_pls = not incidence.multi_covered
+    violations += [("pair-covered-twice", pair) for pair in incidence.multi_covered]
     repl = tuple(d.replication())
     is_regular = len(set(repl)) <= 1
     if not is_regular:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Design, PairCoverage, ParseError, Schema, kind_is, read_records
+from .core import Design, ParseError, Schema, kind_is, read_records
 
 INFINITE_GIRTH = math.inf
 
@@ -58,11 +58,18 @@ class Graph:
 
 
 def build_deficiency(d: Design) -> Graph:
-    """Graph on the points with an edge exactly where no line covers the pair."""
-    cov = PairCoverage.of(d)
-    edges = [(x, y) for x in range(d.v) for y in range(x + 1, d.v)
-             if cov.count(x, y) == 0]
-    return Graph.from_edges(d.v, edges)
+    """Graph on the points with an edge exactly where no line covers the pair.
+
+    A point's neighbours are its opposite set, read from the design's
+    incidence index; the graph is made once and kept on that index, so later
+    calls return the same Graph.
+    """
+    incidence = d.incidence
+    if incidence.deficiency is None:
+        opposites = incidence.opposites
+        edges = tuple((x, y) for x, opp in enumerate(opposites) for y in opp if x < y)
+        incidence.deficiency = Graph(n=d.v, edges=edges, neighbors=opposites)
+    return incidence.deficiency
 
 
 def _bfs_shortest_cycle_through(g: Graph, root: int, cutoff: float) -> float:

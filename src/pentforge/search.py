@@ -205,7 +205,7 @@ def _exact_cover(g: Graph, k: int, r: int, forced: list[tuple[int, ...]],
         nodes += 1
         if nodes > budget.max_nodes:
             raise BudgetExhausted(f"node budget {budget.max_nodes} exhausted")
-        if nodes % 256 == 0 and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise BudgetExhausted(f"time budget {budget.max_seconds}s exhausted")
         # Fail-first: branch on the uncovered pair with fewest completions.
         best_pair = None

@@ -1,5 +1,6 @@
 import pytest
 
+from pentforge import search
 from pentforge.analysis import count_olps, verify_pentagonal
 from pentforge.defgraph import (Graph, build_deficiency, components, girth,
                                 moore_pent, petersen)
@@ -153,6 +154,22 @@ def test_budget_exhaustion_is_distinct(pent3_9_olp1):
     g = build_deficiency(pent3_9_olp1)
     with pytest.raises(BudgetExhausted):
         complete_from_deficiency(g, 3, 9, SearchBudget(max_nodes=1))
+
+
+def test_time_budget_checked_on_every_node(monkeypatch, pent3_9_olp1):
+    # The clock reads 0 for the deadline and the first ten nodes, then jumps
+    # past the deadline; the very next node must stop.
+    g = build_deficiency(pent3_9_olp1)
+    readings = []
+
+    def clock():
+        readings.append(0.0 if len(readings) <= 10 else 1e9)
+        return readings[-1]
+
+    monkeypatch.setattr(search.time, "monotonic", clock)
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        complete_from_deficiency(g, 3, 9, SearchBudget(max_seconds=1.0))
+    assert readings == [0.0] * 11 + [1e9]
 
 
 def test_budget_validation():
