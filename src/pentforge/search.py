@@ -4,12 +4,18 @@ completion of geometries from a prescribed deficiency graph."""
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .core import Design
 from .defgraph import Graph, build_deficiency, classify
+
+
+# Initial candidate counting reads the clock after about this many cliques.
+CLOCK_WORK = 1 << 14
 
 
 class BudgetExhausted(RuntimeError):
@@ -24,10 +30,9 @@ class SearchPreconditionError(ValueError):
 class SearchBudget:
     max_nodes: int = 10 ** 8
     max_seconds: float = 60.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        if not (self.max_nodes > 0 and self.max_seconds > 0):  # NaN fails too
             raise ValueError("budget limits must be positive")
 
 
@@ -139,103 +144,118 @@ def complete_from_deficiency(g: Graph, k: int, r: int,
             "graph has a component that is neither K_{k,k} nor girth >= 5")
 
     forced = sorted(mandatory_lines(g, k))
-    adjacent = set(g.edges)
-    covered = set()
+    closed = set(g.edges)  # pairs no further line may cover
     for line in forced:
-        for pair in itertools.combinations(line, 2):
-            covered.add(pair)
-    repl = [0] * g.n
-    for line in forced:
-        for p in line:
-            repl[p] += 1
-
+        closed.update(itertools.combinations(line, 2))
     uncovered = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)
-                 if (x, y) not in adjacent and (x, y) not in covered]
-    solution = _exact_cover(g, k, r, forced, set(uncovered), repl, budget)
+                 if (x, y) not in closed]
+    solution = _exact_cover(g.n, k, uncovered, budget)
     if solution is None:
         return None
-    design = Design.make(v=g.n, k=k, lines=solution, r_claimed=r, kind="pent")
+    design = Design.make(v=g.n, k=k, lines=forced + solution, r_claimed=r,
+                         kind="pent")
     if build_deficiency(design).edges != g.edges:
         raise AssertionError("completion does not reproduce the target graph")
     return design
 
 
-def _exact_cover(g: Graph, k: int, r: int, forced: list[tuple[int, ...]],
-                 uncovered: set[tuple[int, int]], repl: list[int],
-                 budget: SearchBudget) -> list[tuple[int, ...]] | None:
-    """Partition the uncovered non-adjacent pairs into k-subsets.
+def _cliques(nbr: list[set[int]], pool: list[int], size: int) -> list[tuple[int, ...]]:
+    """The `size`-subsets of `pool` whose points are pairwise joined in `nbr`,
+    in lexicographic order when `pool` is sorted."""
+    if size <= 1:
+        return [(z,) for z in pool] if size else [()]
+    return [(z,) + rest for i, z in enumerate(pool)
+            for rest in _cliques(nbr, [w for w in pool[i + 1:] if w in nbr[z]], size - 1)]
 
-    Branches on the uncovered pair with the fewest candidate lines
-    (fail-first); candidate ordering is lexicographic, so the search is
-    deterministic for a fixed budget.
+
+def _lines_through(nbr: list[set[int]], a: int, b: int, k: int) -> list[tuple[int, ...]]:
+    """The candidate lines for the pair {a, b}: the k-cliques through it in the
+    graph `nbr` of uncovered pairs, as sorted tuples in lexicographic order."""
+    return [tuple(sorted((a, b) + rest))
+            for rest in _cliques(nbr, sorted(nbr[a] & nbr[b]), k - 2)]
+
+
+def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
+                 budget: SearchBudget) -> list[tuple[int, ...]] | None:
+    """Partition the sorted list of uncovered pairs into k-cliques.
+
+    Algorithm X with fail-first branching: each uncovered pair keeps a count
+    of its candidate lines (the k-cliques through it among the uncovered
+    pairs), updated as lines are covered and uncovered; each node branches on
+    the pair with the fewest, the first in sorted order on a tie, and tries
+    its lines in lexicographic order.  The search is deterministic and runs
+    on an explicit stack; the time budget also covers the initial count.
     """
-    adjacent = set(g.edges)
     deadline = time.monotonic() + budget.max_seconds
+
+    def check_clock() -> None:
+        if time.monotonic() > deadline:
+            raise BudgetExhausted(f"time budget {budget.max_seconds}s exhausted")
+
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    index = [[0] * n for _ in range(n)]
+    for i, (x, y) in enumerate(uncovered):
+        index[x][y] = index[y][x] = i
+    done = sys.maxsize  # the count of a covered pair
+    count = [done] * len(uncovered)
+
+    def shift(a: int, b: int, step: int) -> int:
+        # Add step to the count of every uncovered pair sharing a clique with {a, b}.
+        rests = _cliques(nbr, list(nbr[a] & nbr[b]), k - 2)
+        for rest in rests:
+            for z in rest:
+                count[index[a][z]] += step
+                count[index[b][z]] += step
+            for z, w in itertools.combinations(rest, 2):
+                count[index[z][w]] += step
+        return len(rests)
+
+    def join(a: int, b: int) -> int:
+        nbr[a].add(b)
+        nbr[b].add(a)
+        count[index[a][b]] = shift(a, b, 1)
+        return count[index[a][b]]
+
+    def cover(line: tuple[int, ...]) -> None:
+        for a, b in itertools.combinations(line, 2):
+            shift(a, b, -1)
+            nbr[a].discard(b)
+            nbr[b].discard(a)
+            count[index[a][b]] = done
+
+    work = 0
+    for x, y in uncovered:  # the initial count: each clique is met at its last pair
+        work += join(x, y) + 1
+        if work > CLOCK_WORK:
+            work = 0
+            check_clock()
+
     nodes = 0
     chosen: list[tuple[int, ...]] = []
-
-    def pair(x: int, y: int) -> tuple[int, int]:
-        return (x, y) if x < y else (y, x)
-
-    def candidates_for(x: int, y: int) -> list[tuple[int, ...]]:
-        # Grow {x, y} into k-subsets whose internal pairs are all uncovered.
-        result = []
-        pool = [z for z in range(g.n) if z != x and z != y
-                and repl[z] < r
-                and pair(x, z) in uncovered and pair(y, z) in uncovered]
-
-        def grow(acc: list[int], rest: list[int]) -> None:
-            if len(acc) == k:
-                result.append(tuple(sorted(acc)))
-                return
-            need = k - len(acc)
-            for i, z in enumerate(rest):
-                if len(rest) - i < need:
-                    break
-                if all(pair(w, z) in uncovered for w in acc if w not in (x, y)):
-                    grow(acc + [z], rest[i + 1:])
-
-        grow([x, y], pool)
-        return result
-
-    def solve() -> bool:
-        nonlocal nodes
-        if not uncovered:
-            return True
+    frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
+    while True:
+        fewest = min(count, default=done)
+        if fewest == done:
+            return chosen
         nodes += 1
         if nodes > budget.max_nodes:
             raise BudgetExhausted(f"node budget {budget.max_nodes} exhausted")
-        if time.monotonic() > deadline:
-            raise BudgetExhausted(f"time budget {budget.max_seconds}s exhausted")
-        # Fail-first: branch on the uncovered pair with fewest completions.
-        best_pair = None
-        best_cands: list[tuple[int, ...]] | None = None
-        for (x, y) in sorted(uncovered):
-            cands = candidates_for(x, y)
-            if best_cands is None or len(cands) < len(best_cands):
-                best_pair, best_cands = (x, y), cands
-                if not cands:
-                    return False
-                if len(cands) == 1:
-                    break
-        if best_cands is None:
-            raise RuntimeError("no uncovered pair to branch on")
-        for line in best_cands:
-            pairs = [pair(a, b) for a, b in itertools.combinations(line, 2)]
-            for pr in pairs:
-                uncovered.discard(pr)
-            for p in line:
-                repl[p] += 1
-            chosen.append(line)
-            if solve():
-                return True
-            chosen.pop()
-            for p in line:
-                repl[p] -= 1
-            for pr in pairs:
-                uncovered.add(pr)
-        return False
-
-    if solve():
-        return forced + chosen
-    return None
+        check_clock()
+        lines: list[tuple[int, ...]] = []
+        if fewest:
+            lines = _lines_through(nbr, *uncovered[count.index(fewest)], k)
+            if len(lines) != fewest:
+                raise RuntimeError("candidate count out of step with the uncovered pairs")
+        frames.append(iter(lines))
+        while True:
+            if len(chosen) == len(frames):
+                for a, b in itertools.combinations(chosen.pop(), 2):
+                    join(a, b)
+            line = next(frames[-1], None)
+            if line is not None:
+                break
+            frames.pop()
+            if not frames:
+                return None
+        cover(line)
+        chosen.append(line)

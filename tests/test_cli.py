@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from pentforge import catalog
 from pentforge.cli import run
 from pentforge.construct import degenerate_pent, serialize_gdd, td3
@@ -138,6 +140,17 @@ def test_complete_budget_exhausted(tmp_path):
     code, out = invoke(["complete", "--graph", str(graph_path),
                         "--k", "3", "--r", "9", "--nodes", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("seconds", ["0", "nan", "-1"])
+def test_complete_rejects_a_budget_that_is_not_positive(tmp_path, seconds):
+    g = build_deficiency(catalog.catalog_load("pent3_9_olp1"))
+    graph_path = tmp_path / "g.graph"
+    graph_path.write_text(serialize_graph(g))
+    code, out = invoke(["complete", "--graph", str(graph_path),
+                        "--k", "3", "--r", "9", "--seconds", seconds])
+    assert code == 4
+    assert "budget limits must be positive" in out
 
 
 def test_catalog_list():

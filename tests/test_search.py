@@ -1,7 +1,16 @@
-import pytest
+import inspect
+import itertools
+import random
+import sys
+import time
+from functools import lru_cache
 
-from pentforge import search
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from pentforge import catalog, search
 from pentforge.analysis import count_olps, verify_pentagonal
+from pentforge.core import Design
 from pentforge.defgraph import (Graph, build_deficiency, components, girth,
                                 moore_pent, petersen)
 from pentforge.search import (BudgetExhausted, SearchBudget,
@@ -175,3 +184,199 @@ def test_time_budget_checked_on_every_node(monkeypatch, pent3_9_olp1):
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
+    # NaN compares false with everything, so it would never pass the deadline.
+    for limits in ({"max_seconds": float("nan")}, {"max_nodes": float("nan")}):
+        with pytest.raises(ValueError, match="positive"):
+            SearchBudget(**limits)
+
+
+def test_time_budget_covers_initial_count(monkeypatch):
+    # Counting the candidate lines of pent4_60 alone takes half a minute; the clock
+    # jumps past the deadline right after it is set, so the search must stop
+    # during the count.
+    g = build_deficiency(catalog.catalog_load("pent4_60"))
+    readings = []
+
+    def clock():
+        readings.append(0.0 if not readings else 1e9)
+        return readings[-1]
+
+    monkeypatch.setattr(search.time, "monotonic", clock)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        complete_from_deficiency(g, 4, 60, SearchBudget(max_seconds=1.0))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    g = build_deficiency(catalog.catalog_load("pent3_27"))
+    expected = complete_from_deficiency(g, 3, 27)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        d = complete_from_deficiency(g, 3, 27)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d is not None and d == expected
+
+
+# ---------------------------------------------------------------------------
+# Completion search against the first fail-first search
+#
+# ref_exact_cover is the search as first written: it recomputes the candidate
+# lines of every uncovered pair at every node, filters points already on r
+# lines, and recurses.  The incremental search must find the same completion
+# in no more nodes.  Some relabellings take the reference tens of thousands
+# of nodes (about half a millisecond each); those examples are drawn again.
+
+def ref_exact_cover(g: Graph, k: int, r: int, max_nodes: int):
+    """The lines of the first completion found (or None), and the node count."""
+    forced = sorted(search.mandatory_lines(g, k))
+    adjacent = set(g.edges)
+    covered = {pair for line in forced for pair in itertools.combinations(line, 2)}
+    repl = [sum(p in line for line in forced) for p in range(g.n)]
+    uncovered = {(x, y) for x in range(g.n) for y in range(x + 1, g.n)
+                 if (x, y) not in adjacent and (x, y) not in covered}
+    nodes = 0
+    chosen = []
+
+    def pair(x, y):
+        return (x, y) if x < y else (y, x)
+
+    def candidates_for(x, y):
+        result = []
+        pool = [z for z in range(g.n) if z != x and z != y
+                and repl[z] < r
+                and pair(x, z) in uncovered and pair(y, z) in uncovered]
+
+        def grow(acc, rest):
+            if len(acc) == k:
+                result.append(tuple(sorted(acc)))
+                return
+            need = k - len(acc)
+            for i, z in enumerate(rest):
+                if len(rest) - i < need:
+                    break
+                if all(pair(w, z) in uncovered for w in acc if w not in (x, y)):
+                    grow(acc + [z], rest[i + 1:])
+
+        grow([x, y], pool)
+        return result
+
+    def solve():
+        nonlocal nodes
+        if not uncovered:
+            return True
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExhausted(f"node budget {max_nodes} exhausted")
+        best_cands = None
+        for (x, y) in sorted(uncovered):
+            cands = candidates_for(x, y)
+            if best_cands is None or len(cands) < len(best_cands):
+                best_cands = cands
+                if not cands:
+                    return False
+                if len(cands) == 1:
+                    break
+        for line in best_cands:
+            pairs = [pair(a, b) for a, b in itertools.combinations(line, 2)]
+            for pr in pairs:
+                uncovered.discard(pr)
+            for p in line:
+                repl[p] += 1
+            chosen.append(line)
+            if solve():
+                return True
+            chosen.pop()
+            for p in line:
+                repl[p] -= 1
+            for pr in pairs:
+                uncovered.add(pr)
+        return False
+
+    return (forced + chosen if solve() else None), nodes
+
+
+def ref_lines_through(nbr: list[set[int]], a: int, b: int, k: int):
+    """Every k-subset through {a, b} whose pairs are all joined in nbr, sorted."""
+    others = [z for z in range(len(nbr)) if z not in (a, b)]
+    lines = (tuple(sorted((a, b) + rest)) for rest in itertools.combinations(others, k - 2))
+    return sorted(line for line in lines
+                  if all(y in nbr[x] for x, y in itertools.combinations(line, 2)))
+
+
+def c4_plus_c5() -> Graph:
+    return Graph.from_edges(9, [(i, (i + 1) % 4) for i in range(4)]
+                            + [(4 + i, 4 + (i + 1) % 5) for i in range(5)])
+
+
+@lru_cache(maxsize=None)
+def target(name: str) -> tuple[Graph, int, int]:
+    if name == "petersen":
+        return petersen(), 3, 3
+    if name == "c4+c5":
+        return c4_plus_c5(), 2, 6
+    d = catalog.catalog_load(name)
+    return build_deficiency(d), d.k, d.r_claimed
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges])
+
+
+TARGETS = ("pent3_9_olp1", "pent3_10", "pent3_10_olp1", "pent3_12_olp1",
+           "petersen", "c4+c5")
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(TARGETS), seeds)
+def test_completion_matches_reference_search(name, seed):
+    g, k, r = target(name)
+    g = relabel(g, seed)
+    try:
+        lines, nodes = ref_exact_cover(g, k, r, max_nodes=2000)
+    except BudgetExhausted:
+        reject()
+    expected = Design.make(v=g.n, k=k, lines=lines, r_claimed=r)
+    assert complete_from_deficiency(g, k, r) == expected
+    budget = SearchBudget(max_nodes=max(nodes, 1))
+    assert complete_from_deficiency(g, k, r, budget) == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["pent3_10", "pent4_13"]), seeds)
+def test_candidate_lines_match_brute_force(name, seed):
+    # Uncovered pairs as in mid-search: the pairs left by the forced lines,
+    # less those of a random third of the geometry's other lines.
+    d = catalog.catalog_load(name)
+    g = build_deficiency(d)
+    rng = random.Random(seed)
+    taken = set(search.mandatory_lines(g, d.k))
+    taken.update(rng.sample([line for line in d.lines if line not in taken], d.b // 3))
+    covered = set(g.edges) | {pair for line in taken
+                              for pair in itertools.combinations(line, 2)}
+    nbr = [set() for _ in range(d.v)]
+    for x, y in itertools.combinations(range(d.v), 2):
+        if (x, y) not in covered:
+            nbr[x].add(y)
+            nbr[y].add(x)
+    uncovered = [(x, y) for x in range(d.v) for y in sorted(nbr[x]) if x < y]
+    for a, b in rng.sample(uncovered, 5):
+        assert search._lines_through(nbr, a, b, d.k) == ref_lines_through(nbr, a, b, d.k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds)
+def test_k4_search_splits_the_pairs_of_half_a_geometry(seed):
+    # The pairs of a random half of pent4_13's lines split into 4-cliques, and
+    # other 4-cliques among them make the search branch and backtrack.
+    d = catalog.catalog_load("pent4_13")
+    lines = random.Random(seed).sample(d.lines, d.b // 2)
+    uncovered = sorted(pair for line in lines for pair in itertools.combinations(line, 2))
+    found = search._exact_cover(d.v, 4, uncovered, SearchBudget())
+    assert found is not None
+    assert sorted(pair for line in found for pair in itertools.combinations(line, 2)) == uncovered
