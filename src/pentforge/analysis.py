@@ -21,6 +21,7 @@ class OppositeLineMap:
 @dataclass(frozen=True)
 class OlpSet:
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    classes: defgraph.ComponentClassification
 
     @property
     def q(self) -> int:
@@ -86,7 +87,8 @@ def verify_pentagonal(d: Design) -> PentReport:
 
 def count_olps(d: Design) -> OlpSet:
     """All mutual opposite line pairs, found two ways (definition and K_{k,k}
-    components of the deficiency graph) which must agree."""
+    components of the deficiency graph) which must agree.  The result keeps
+    the deficiency graph's classification as `classes`."""
     incidence = d.incidence
     opposites = incidence.opposites
     pairs = set()
@@ -105,7 +107,7 @@ def count_olps(d: Design) -> OlpSet:
         raise AssertionError(
             f"OLP count mismatch: definition gives {len(pairs)}, "
             f"deficiency graph has {cls.k_kk_count} K_kk components")
-    return OlpSet(pairs=tuple(sorted(pairs)))
+    return OlpSet(pairs=tuple(sorted(pairs)), classes=cls)
 
 
 def max_olps_bound(r: int) -> int:

@@ -19,7 +19,7 @@ from .analysis import count_olps, verify_pentagonal
 from .construct import (ConstructionError, OrbitSpec, Pbd, Sts, expand_orbits,
                         parse_orbit, parse_pbd, parse_sts)
 from .core import (Design, ParseError, Schema, kind_is, parse_design,
-                   read_records, records)
+                   point_set, read_records, records)
 
 
 class UnknownEntryError(KeyError):
@@ -49,38 +49,44 @@ def catalog_dir() -> Path:
     return Path(str(resources.files("pentforge").joinpath("data")))
 
 
+def _olp(value: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    left, right = value.split("|")
+    return point_set(left), point_set(right)
+
+
+def _pair(value: str) -> tuple[int, int]:
+    u, w = point_set(value)
+    return u, w
+
+
+# One `entry:` section of the manifest.
+MANIFEST = Schema("manifest",
+                  header={"entry": (str, True), "path": (str, True),
+                          "source": (str, True), "v": (int, True), "b": (int, True),
+                          "k": (int, True), "r": (int, True),
+                          "olp_count": (int, False), "girth": (int, False),
+                          "connected": (lambda value: kind_is("yes", "no")(value) == "yes",
+                                        False),
+                          "olp": (_olp, False)},
+                  repeated={"defedge": _pair})
+
+
 def _parse_manifest(text: str) -> list[CatalogEntry]:
+    sections: list[list[tuple[int, str, str]]] = []
+    for record in records(text):
+        if record[1] == "entry":
+            sections.append([])
+        elif not sections:
+            raise ParseError(f"line {record[0]}: manifest must start with an 'entry:' record")
+        sections[-1].append(record)
     entries = []
-    current: dict[str, object] | None = None
-
-    def flush() -> None:
-        if current is None:
-            return
-        edges = tuple(sorted(current.pop("deficiency_edges", ())))  # type: ignore[arg-type]
-        entries.append(CatalogEntry(deficiency_edges=edges, **current))  # type: ignore[arg-type]
-
-    for _, key, value in records(text):
-        if key == "entry":
-            flush()
-            current = {"id": value, "deficiency_edges": []}
-        elif current is None:
-            raise ParseError("manifest must start with an 'entry:' record")
-        elif key in ("path", "source"):
-            current[key] = value
-        elif key in ("v", "b", "k", "r", "olp_count", "girth"):
-            current[key] = int(value)
-        elif key == "connected":
-            current[key] = value == "yes"
-        elif key == "olp":
-            left, right = value.split("|")
-            current["olp"] = (tuple(sorted(int(p) for p in left.split())),
-                              tuple(sorted(int(p) for p in right.split())))
-        elif key == "defedge":
-            u, w = (int(p) for p in value.split())
-            current["deficiency_edges"].append((min(u, w), max(u, w)))  # type: ignore[union-attr]
-        else:
-            raise ParseError(f"unknown manifest field {key!r}")
-    flush()
+    for section in sections:
+        try:
+            f = read_records(section, MANIFEST)
+        except ParseError as exc:
+            raise ParseError(f"entry {section[0][2]}: {exc}") from None
+        entries.append(CatalogEntry(id=f.pop("entry"),
+                                    deficiency_edges=tuple(sorted(f.pop("defedge"))), **f))
     return entries
 
 
@@ -167,23 +173,18 @@ def verify_entry(entry: CatalogEntry) -> tuple[bool, list[str]]:
         return False, problems
     if report.r != entry.r:
         problems.append(f"r={report.r}, expected {entry.r}")
-    graph = defgraph.build_deficiency(design)
-    if entry.olp_count is not None or entry.olp is not None:
-        olps = count_olps(design)
-        if entry.olp_count is not None and olps.q != entry.olp_count:
-            problems.append(f"olp_count={olps.q}, expected {entry.olp_count}")
-        if entry.olp is not None and entry.olp not in olps.pairs:
-            problems.append(f"expected OLP {entry.olp} not found")
-    if entry.girth is not None:
-        gir = defgraph.girth(graph)
-        if gir != entry.girth:
-            problems.append(f"deficiency girth={gir}, expected {entry.girth}")
-    if entry.connected is not None:
-        conn = defgraph.is_connected(graph)
-        if conn != entry.connected:
-            problems.append(f"connected={conn}, expected {entry.connected}")
+    olps = count_olps(design)
+    cls = olps.classes
+    if entry.olp_count is not None and olps.q != entry.olp_count:
+        problems.append(f"olp_count={olps.q}, expected {entry.olp_count}")
+    if entry.olp is not None and entry.olp not in olps.pairs:
+        problems.append(f"expected OLP {entry.olp} not found")
+    if entry.girth is not None and cls.girth != entry.girth:
+        problems.append(f"deficiency girth={cls.girth}, expected {entry.girth}")
+    if entry.connected is not None and cls.connected != entry.connected:
+        problems.append(f"connected={cls.connected}, expected {entry.connected}")
     if entry.deficiency_edges:
-        if graph.edges != entry.deficiency_edges:
+        if defgraph.build_deficiency(design).edges != entry.deficiency_edges:
             problems.append("deficiency edge set differs from the stated edges")
     return not problems, problems
 

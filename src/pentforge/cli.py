@@ -40,6 +40,13 @@ def _read(path: str) -> str:
         raise CliFailure(EXIT_INPUT, f"cannot read {path}: {exc}") from None
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliFailure(EXIT_INPUT, f"cannot write {path}: {exc}") from None
+
+
 def _machine(out, **kv) -> None:
     for key, value in kv.items():
         if isinstance(value, bool):
@@ -50,7 +57,7 @@ def _machine(out, **kv) -> None:
 def _emit_design(design: Design, out_path: str | None, stdout) -> None:
     text = serialize_design(design)
     if out_path:
-        Path(out_path).write_text(text)
+        _write(Path(out_path), text)
     else:
         stdout.write(text)
 
@@ -84,19 +91,16 @@ def cmd_analyze(args, out) -> int:
     if not report.ok or report.r is None:
         _machine(out, pentagonal=False)
         return EXIT_INVALID
-    graph = defgraph.build_deficiency(design)
-    cls = defgraph.classify(graph, design.k)
     olps = count_olps(design)
-    gir = defgraph.girth(graph)
-    for comp, tag, detail in cls.components:
+    cls = olps.classes
+    for comp, tag, gir in cls.components:
         print(f"component: {len(comp)} vertices, {tag}"
-              + (f" (girth {detail})" if tag != "K_kk" else ""), file=out)
+              + (f" (girth {gir})" if tag != "K_kk" else ""), file=out)
     _machine(out, pentagonal=True, v=design.v, b=design.b, k=design.k,
              r=report.r, olp_count=olps.q,
              max_olp_bound=(max_olps_bound(report.r) if design.k == 3 else "n/a"),
-             girth=("inf" if gir == defgraph.INFINITE_GIRTH else gir),
-             connected=defgraph.is_connected(graph),
-             k_kk_components=cls.k_kk_count)
+             girth=("inf" if cls.girth == defgraph.INFINITE_GIRTH else cls.girth),
+             connected=cls.connected, k_kk_components=cls.k_kk_count)
     return EXIT_OK
 
 
@@ -153,8 +157,11 @@ def cmd_pent2_enumerate(args, out) -> int:
         name = f"pent2_r{args.r}_" + "+".join(str(c) for c in ctype)
         if args.outdir:
             outdir = Path(args.outdir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / f"{name}.design").write_text(serialize_design(design))
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CliFailure(EXIT_INPUT, f"cannot write {outdir}: {exc}") from None
+            _write(outdir / f"{name}.design", serialize_design(design))
         print(f"design: {name} v={design.v} b={design.b}", file=out)
     _machine(out, r=args.r, count=len(systems))
     return EXIT_OK

@@ -94,8 +94,16 @@ def serialize_orbit(spec: OrbitSpec) -> str:
 # ---------------------------------------------------------------------------
 # Quasigroups and Steiner triple systems
 
+class _CheckedWhenBuilt:
+    """Runs the dataclass's `check` when an instance is built, so an invalid
+    one cannot exist and no construction needs to check its input again."""
+
+    def __post_init__(self):
+        self.check()
+
+
 @dataclass(frozen=True)
-class Quasigroup:
+class Quasigroup(_CheckedWhenBuilt):
     order: int
     table: tuple[tuple[int, ...], ...]
 
@@ -128,7 +136,7 @@ def cyclic_idempotent_quasigroup(n: int) -> Quasigroup:
 
 
 @dataclass(frozen=True)
-class Sts:
+class Sts(_CheckedWhenBuilt):
     v: int
     triples: tuple[tuple[int, ...], ...]
 
@@ -139,7 +147,7 @@ class Sts:
 
 
 @dataclass(frozen=True)
-class Pbd:
+class Pbd(_CheckedWhenBuilt):
     """Pairwise balanced design with triples plus one distinguished 5-block."""
     v: int
     distinguished: tuple[int, ...]
@@ -172,9 +180,8 @@ def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],
                 raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
 
 
-def bose_sts(q: Quasigroup) -> Sts:
-    """Bose construction: STS(3n) on Q x Z_3 from a commutative idempotent
-    quasigroup of odd order n.  Point (x,i) is encoded as i*n + x."""
+def _bose_triples(q: Quasigroup) -> list[tuple[int, ...]]:
+    """Triples of the Bose STS(3n) on Q x Z_3, point (x,i) encoded as i*n + x."""
     n = q.order
     triples = [(x, n + x, 2 * n + x) for x in range(n)]
     for i in range(3):
@@ -182,9 +189,13 @@ def bose_sts(q: Quasigroup) -> Sts:
             for y in range(x + 1, n):
                 triples.append(tuple(sorted((i * n + x, i * n + y,
                                              ((i + 1) % 3) * n + q.op(x, y)))))
-    sts = Sts(v=3 * n, triples=tuple(sorted(triples)))
-    sts.check()
-    return sts
+    return triples
+
+
+def bose_sts(q: Quasigroup) -> Sts:
+    """Bose construction: STS(3n) on Q x Z_3 from a commutative idempotent
+    quasigroup of odd order n.  Point (x,i) is encoded as i*n + x."""
+    return Sts(v=3 * q.order, triples=tuple(sorted(_bose_triples(q))))
 
 
 def sts_bose(n: int) -> Sts:
@@ -204,29 +215,22 @@ def _triple_table(v: int, triples: Sequence[tuple[int, ...]]) -> list[list[int]]
     return table
 
 
-def _checked_quasigroup(table: list[list[int]]) -> Quasigroup:
-    q = Quasigroup(order=len(table), table=tuple(tuple(row) for row in table))
-    q.check()
-    return q
-
-
 def steiner_quasigroup(s: Sts) -> Quasigroup:
     """x*x = x; x*y = the third point of the triple through x and y."""
-    s.check()
-    return _checked_quasigroup(_triple_table(s.v, s.triples))
+    return Quasigroup(order=s.v, table=tuple(map(tuple, _triple_table(s.v, s.triples))))
 
 
 def _pent3_from_quasigroup(q: Quasigroup, a: int) -> Design:
     """Bose STS(3n) minus the three points (a,0), (a,1), (a,2) and every
-    triple meeting them; remaining points are relabeled densely."""
+    triple meeting them; remaining points are relabeled densely.  The STS
+    itself is not built: its triples are developed and filtered directly."""
     n = q.order
-    full = bose_sts(q)
     dropped = {a, n + a, 2 * n + a}
     relabel = {}
     for old in range(3 * n):
         if old not in dropped:
             relabel[old] = len(relabel)
-    lines = [tuple(relabel[p] for p in t) for t in full.triples
+    lines = [tuple(relabel[p] for p in t) for t in _bose_triples(q)
              if not dropped & set(t)]
     return Design.make(v=3 * n - 3, k=3, lines=lines, kind="pent")
 
@@ -241,7 +245,6 @@ def bose_pent3(s: Sts, a: int) -> Design:
 def pbd_pent3(p: Pbd, a: int) -> Design:
     """Same pipeline from a PBD(v,{3,5*}): the quasigroup uses triples for
     ordinary pairs and the midpoint rule inside the distinguished 5-block."""
-    p.check()
     if a in p.distinguished:
         raise ConstructionError(
             f"drop point {a} must lie outside the distinguished block")
@@ -254,14 +257,14 @@ def pbd_pent3(p: Pbd, a: int) -> Design:
         for y in dist:
             if x != y:
                 table[x][y] = dist[(pos[x] + pos[y]) * 3 % 5]
-    return _pent3_from_quasigroup(_checked_quasigroup(table), a)
+    return _pent3_from_quasigroup(Quasigroup(order=p.v, table=tuple(map(tuple, table))), a)
 
 
 # ---------------------------------------------------------------------------
 # Group divisible designs and composition
 
 @dataclass(frozen=True)
-class Gdd:
+class Gdd(_CheckedWhenBuilt):
     v: int
     k: int
     groups: tuple[tuple[int, ...], ...]
@@ -289,9 +292,7 @@ def td3(g: int) -> Gdd:
     groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(3))
     blocks = tuple((i, g + j, 2 * g + (i + j) % g)
                    for i in range(g) for j in range(g))
-    gdd = Gdd(v=3 * g, k=3, groups=groups, blocks=blocks)
-    gdd.check()
-    return gdd
+    return Gdd(v=3 * g, k=3, groups=groups, blocks=blocks)
 
 
 def degenerate_pent(k: int) -> Design:
@@ -309,7 +310,6 @@ def gdd_compose(gdd: Gdd, parts: Sequence[tuple[int, Design]]) -> Design:
     Part points are relabeled onto their group in ascending point order.
     The result is fully re-verified rather than trusted.
     """
-    gdd.check()
     by_group = dict(parts)
     if sorted(by_group) != list(range(len(gdd.groups))):
         raise ConstructionError("need exactly one part design per group")
@@ -347,25 +347,19 @@ GDD = Schema("gdd", header={"kind": (kind_is("gdd"), False), "v": (int, True),
 
 def parse_sts(text: str) -> Sts:
     f = read_records(text, STS)
-    sts = Sts(v=f["v"], triples=tuple(sorted(f["triple"])))
-    sts.check()
-    return sts
+    return Sts(v=f["v"], triples=tuple(sorted(f["triple"])))
 
 
 def parse_pbd(text: str) -> Pbd:
     f = read_records(text, PBD)
-    pbd = Pbd(v=f["v"], distinguished=f["distinguished"],
-              triples=tuple(sorted(f["triple"])))
-    pbd.check()
-    return pbd
+    return Pbd(v=f["v"], distinguished=f["distinguished"],
+               triples=tuple(sorted(f["triple"])))
 
 
 def parse_gdd(text: str) -> Gdd:
     f = read_records(text, GDD)
-    gdd = Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
-              blocks=tuple(sorted(f["block"])))
-    gdd.check()
-    return gdd
+    return Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
+               blocks=tuple(sorted(f["block"])))
 
 
 def serialize_gdd(gdd: Gdd) -> str:

@@ -66,10 +66,6 @@ class Design:
         instance (`make` does not build it)."""
         return Incidence(self)
 
-    def lines_through(self) -> tuple[tuple[int, ...], ...]:
-        """Index of line numbers through each point."""
-        return self.incidence.through
-
     def replication(self) -> list[int]:
         return [len(ls) for ls in self.incidence.through]
 
@@ -255,8 +251,10 @@ def point_set(value: str) -> tuple[int, ...]:
     return tuple(sorted(map(int, value.split())))
 
 
-def read_records(text: str, schema: Schema) -> dict[str, Any]:
-    """Read a file of the given format into converted fields.
+def read_records(text: str | list[tuple[int, str, str]],
+                 schema: Schema) -> dict[str, Any]:
+    """Read a file of the given format, or a section of one already split
+    into `records`, into converted fields.
 
     Each header field maps to its value, or None when absent; each repeated
     field maps to the list of its values in file order.  Unknown keys,
@@ -266,7 +264,7 @@ def read_records(text: str, schema: Schema) -> dict[str, Any]:
     fields: dict[str, Any] = {key: [] for key in schema.repeated}
     lineno, key, value = 0, "", ""
     try:
-        for lineno, key, value in records(text):
+        for lineno, key, value in records(text) if isinstance(text, str) else text:
             convert = schema.repeated.get(key)
             if convert is not None:
                 fields[key].append(convert(value))

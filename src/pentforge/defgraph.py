@@ -135,32 +135,17 @@ def subgraph(g: Graph, vertices: tuple[int, ...]) -> Graph:
     return Graph.from_edges(len(vertices), edges)
 
 
-def _is_complete_bipartite_kk(comp_graph: Graph, k: int) -> bool:
-    if comp_graph.n != 2 * k:
-        return False
-    # 2-color by BFS, then demand both sides of size k and all k*k cross edges.
-    color = {0: 0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in comp_graph.neighbors[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return False
-    if len(color) != comp_graph.n:
-        return False
-    side = sum(color.values())
-    return side == k and len(comp_graph.edges) == k * k
-
-
 @dataclass(frozen=True)
 class ComponentClassification:
-    components: tuple[tuple[tuple[int, ...], str, object], ...]
+    """Each component with its tag and girth, the tag counts, the least
+    component girth (the girth of the whole graph) and whether there is at
+    most one component."""
+    components: tuple[tuple[tuple[int, ...], str, int | float], ...]
     k_kk_count: int
     girth5plus_count: int
     other_count: int
+    girth: int | float
+    connected: bool
 
     @property
     def clean(self) -> bool:
@@ -168,24 +153,30 @@ class ComponentClassification:
 
 
 def classify(g: Graph, k: int) -> ComponentClassification:
-    """Tag each component as K_{k,k}, girth >= 5, or other (with its girth)."""
+    """Tag each component as K_kk, girth5plus or other, with its girth.
+
+    A component with 2k vertices, k*k edges and no triangle is K_{k,k}: by
+    Mantel's theorem a triangle-free graph on 2k vertices has at most k*k
+    edges, and only K_{k,k} attains that.
+    """
     tagged = []
-    kk = g5 = other = 0
+    counts = {"K_kk": 0, "girth5plus": 0, "other": 0}
     for comp in components(g):
         sub = subgraph(g, comp)
-        if _is_complete_bipartite_kk(sub, k):
-            tagged.append((comp, "K_kk", k))
-            kk += 1
+        gir = girth(sub)
+        if sub.n == 2 * k and len(sub.edges) == k * k and gir >= 4:
+            tag = "K_kk"
+        elif gir >= 5 and sub.is_regular(k):
+            tag = "girth5plus"
         else:
-            gir = girth(sub)
-            if gir >= 5 and sub.is_regular(k):
-                tagged.append((comp, "girth5plus", gir))
-                g5 += 1
-            else:
-                tagged.append((comp, "other", gir))
-                other += 1
-    return ComponentClassification(components=tuple(tagged), k_kk_count=kk,
-                                   girth5plus_count=g5, other_count=other)
+            tag = "other"
+        tagged.append((comp, tag, gir))
+        counts[tag] += 1
+    return ComponentClassification(
+        components=tuple(tagged), k_kk_count=counts["K_kk"],
+        girth5plus_count=counts["girth5plus"], other_count=counts["other"],
+        girth=min((gir for _, _, gir in tagged), default=INFINITE_GIRTH),
+        connected=len(tagged) <= 1)
 
 
 def moore_pent(g: Graph, k: int) -> Design:

@@ -1,9 +1,13 @@
+import io
+
 import pytest
 
 from pentforge import catalog
 from pentforge.analysis import count_olps
 from pentforge.catalog import UnknownEntryError, parse_family_orbit
+from pentforge.cli import run
 from pentforge.construct import ConstructionError, OrbitSpec, expand_orbits
+from pentforge.core import ParseError
 from pentforge.defgraph import build_deficiency, girth
 from tests.conftest import check_universal
 
@@ -119,3 +123,23 @@ def test_universal_properties_on_sample_entries():
 def test_girth_claims_spot_checked():
     assert girth(build_deficiency(catalog.catalog_load("pent3_24"))) == 7
     assert girth(build_deficiency(catalog.catalog_load("pent4_24"))) == 6
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("source: main-k3\n", "", "missing required field 'source'"),
+    ("b: 66\n", "", "missing required field 'b'"),
+    ("k: 3\n", "", "missing required field 'k'"),
+    ("r: 9\n", "", "missing required field 'r'"),
+    ("v: 22\n", "v: ten\n", "bad v value 'ten'"),
+], ids=["no-source", "no-b", "no-k", "no-r", "v-not-a-number"])
+def test_bad_manifest_is_a_parse_error(tmp_path, monkeypatch, old, new, message):
+    text = (catalog.catalog_dir() / "manifest.txt").read_text()
+    assert old in text
+    (tmp_path / "manifest.txt").write_text(text.replace(old, new, 1))
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(tmp_path))
+    with pytest.raises(ParseError, match=f"^entry pent3_9_olp1: .*{message}"):
+        catalog.catalog_entries()
+    for argv in (["catalog", "list"], ["catalog", "verify-all"]):
+        out = io.StringIO()
+        assert run(argv, out=out) == 2, argv
+        assert out.getvalue().startswith("parse error:")

@@ -227,3 +227,24 @@ def test_compose_gdd_block_outside_points_exits_4(tmp_path):
     code, out = invoke(["compose", "--gdd", gdd, "--part", part])
     assert code == 4
     assert "bad block" in out
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    """Each --out, and --outdir, names the path it cannot write and exits 2."""
+    missing = str(tmp_path / "missing" / "x.design")
+    blocker = _write(tmp_path, "blocker", "")
+    part = _write(tmp_path, "p.design", serialize_design(degenerate_pent(3)))
+    graph = _write(tmp_path, "g.graph", serialize_graph(
+        build_deficiency(catalog.catalog_load("pent3_9_olp1"))))
+    cases = [
+        (["expand", catalog_file("pent4_13"), "--out", missing], missing),
+        (["build", "bose", "--sts", str(catalog.catalog_dir() / "support" / "sts7.sts"),
+          "--drop", "0", "--out", missing], missing),
+        (["compose", "--gdd", _write(tmp_path, "td.gdd", serialize_gdd(td3(6))),
+          "--part", part, "--part", part, "--part", part, "--out", missing], missing),
+        (["complete", "--graph", graph, "--k", "3", "--r", "9", "--out", missing], missing),
+        (["pent2", "enumerate", "5", "--outdir", blocker], blocker),
+    ]
+    for argv, path in cases:
+        code, out = invoke(argv)
+        assert (code, out.startswith(f"error: cannot write {path}")) == (2, True), argv

@@ -1,13 +1,17 @@
+import io
+
 import pytest
 
 from pentforge import catalog
 from pentforge.analysis import count_olps, max_olps_bound, verify_pentagonal
-from pentforge.construct import (ConstructionError, OrbitSpec, Pbd, Sts,
-                                 bose_pent3, cyclic_idempotent_quasigroup,
+from pentforge import construct
+from pentforge.construct import (ConstructionError, Gdd, OrbitSpec, Pbd, Quasigroup,
+                                 Sts, bose_pent3, cyclic_idempotent_quasigroup,
                                  degenerate_pent, expand_orbits, gdd_compose,
                                  parse_gdd, parse_orbit, parse_pbd, parse_sts,
                                  pbd_pent3, serialize_gdd, serialize_orbit,
                                  steiner_quasigroup, sts_bose, td3)
+from pentforge.cli import run
 from pentforge.defgraph import build_deficiency, moore_pent, petersen
 from tests.conftest import check_universal
 
@@ -102,7 +106,7 @@ def test_sts_bose_rejects_wrong_residue():
 
 def test_sts_invariant_rejects_missing_pair():
     with pytest.raises(ConstructionError, match="uncovered"):
-        Sts(v=7, triples=((0, 1, 3),)).check()
+        Sts(v=7, triples=((0, 1, 3),))
 
 
 def test_bundled_sts_files():
@@ -168,7 +172,36 @@ def test_pbd_pent3_rejects_drop_in_distinguished():
 
 def test_pbd_invariant_rejects_double_cover():
     with pytest.raises(ConstructionError):
-        Pbd(v=11, distinguished=(0, 1, 2, 3, 4), triples=((0, 1, 5),)).check()
+        Pbd(v=11, distinguished=(0, 1, 2, 3, 4), triples=((0, 1, 5),))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: Quasigroup(order=2, table=((0, 0), (1, 1))), "permutation"),
+    (lambda: Quasigroup(order=3, table=((0, 1, 2), (1, 2, 0), (2, 0, 1))), "idempotent"),
+    (lambda: Gdd(v=6, k=3, groups=((0, 1), (2, 3), (4, 5)), blocks=((0, 1, 2),)),
+     "covered twice"),
+    (lambda: Gdd(v=4, k=2, groups=((0, 1), (2,)), blocks=()), "partition"),
+], ids=["quasigroup-not-latin", "quasigroup-not-idempotent", "gdd-pair-twice",
+        "gdd-groups-not-a-partition"])
+def test_invalid_quasigroup_and_gdd_rejected_when_built(build, match):
+    with pytest.raises(ConstructionError, match=match):
+        build()
+
+
+def test_bose_build_checks_the_sts_once(monkeypatch):
+    """`build bose` checks its STS once, when it is parsed; the Bose STS on
+    three times the points is never built."""
+    checked = []
+    real_check = Sts.check
+
+    def check_counted(self):
+        checked.append(self.v)
+        real_check(self)
+
+    monkeypatch.setattr(construct.Sts, "check", check_counted)
+    sts = catalog.catalog_dir() / "support" / "sts13.sts"
+    assert run(["build", "bose", "--sts", str(sts), "--drop", "0"], out=io.StringIO()) == 0
+    assert checked == [13]
 
 
 # ---------------------------------------------------------------------------

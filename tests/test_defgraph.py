@@ -1,8 +1,13 @@
+import io
+import itertools
 import math
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pentforge import catalog
+from pentforge import catalog, defgraph
+from pentforge.cli import run
 from pentforge.analysis import count_olps, verify_pentagonal
 from pentforge.core import Design
 from pentforge.defgraph import (Graph, MoorePreconditionError, build_deficiency,
@@ -135,3 +140,157 @@ def test_deficiency_regular_on_verified_designs():
     for entry_id in ("pent3_9_olp0", "pent4_13"):
         d = catalog.catalog_load(entry_id)
         assert build_deficiency(d).is_regular(d.k)
+
+
+# ---------------------------------------------------------------------------
+# classify against brute-force references
+
+def ref_components(n: int, edges) -> list[tuple[int, ...]]:
+    nbrs = {v: set() for v in range(n)}
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    seen, comps = set(), []
+    for start in range(n):
+        if start not in seen:
+            comp, stack = {start}, [start]
+            while stack:
+                for w in nbrs[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def ref_is_kkk(vertices, edges, k: int) -> bool:
+    """BFS 2-colouring: two sides of k vertices and all k*k edges between."""
+    if len(vertices) != 2 * k:
+        return False
+    nbrs = {v: [] for v in vertices}
+    for u, w in edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    colour = {vertices[0]: 0}
+    queue = deque([vertices[0]])
+    while queue:
+        u = queue.popleft()
+        for w in nbrs[u]:
+            if w not in colour:
+                colour[w] = 1 - colour[u]
+                queue.append(w)
+            elif colour[w] == colour[u]:
+                return False
+    return (len(colour) == 2 * k and sum(colour.values()) == k
+            and len(edges) == k * k)
+
+
+def ref_girth(edges) -> float:
+    """Shortest cycle: for each edge, 1 + the distance between its ends
+    without it."""
+    best = math.inf
+    for u, w in edges:
+        rest = [e for e in edges if e != (u, w)]
+        dist, queue = {u: 0}, deque([u])
+        while queue and w not in dist:
+            x = queue.popleft()
+            for a, b in rest:
+                for y in ((b,) if a == x else (a,) if b == x else ()):
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+        if w in dist:
+            best = min(best, dist[w] + 1)
+    return best
+
+
+def complete_bipartite_minus_edge(k: int) -> Graph:
+    return Graph.from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k)
+                                    if (i, j) != (0, 0)])
+
+
+@st.composite
+def graphs_and_k(draw):
+    k = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["random", "2k-vertices-k2-edges", "kkk",
+                                  "kkk-minus-edge"]))
+    if shape == "kkk":
+        return complete_bipartite(k), k
+    if shape == "kkk-minus-edge":
+        return complete_bipartite_minus_edge(k), k
+    if shape == "random":
+        n, size = draw(st.integers(0, 10)), {}
+    else:  # K_{k,k}'s vertex and edge counts, most with a triangle
+        n, size = 2 * k, {"min_size": k * k, "max_size": k * k}
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, **size)
+                 if pairs else st.just([]))
+    return Graph.from_edges(n, edges), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_k())
+def test_classify_matches_brute_force(case):
+    g, k = case
+    cls = classify(g, k)
+    expected = []
+    for comp in ref_components(g.n, g.edges):
+        edges = [(u, w) for u, w in g.edges if u in comp]
+        gir = ref_girth(edges)
+        degrees = Counter(v for e in edges for v in e)
+        if ref_is_kkk(comp, edges, k):
+            tag = "K_kk"
+        elif gir >= 5 and all(degrees[v] == k for v in comp):
+            tag = "girth5plus"
+        else:
+            tag = "other"
+        expected.append((comp, tag, gir))
+    assert list(cls.components) == expected
+    tags = Counter(tag for _, tag, _ in expected)
+    assert (cls.k_kk_count, cls.girth5plus_count, cls.other_count) == (
+        tags["K_kk"], tags["girth5plus"], tags["other"])
+    assert cls.girth == girth(g) == ref_girth(list(g.edges))
+    assert cls.connected == is_connected(g) == (len(expected) <= 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_classify_gives_kkk_its_girth(k):
+    [(_, tag, gir)] = classify(complete_bipartite(k), k).components
+    assert (tag, gir) == ("K_kk", 4 if k > 1 else math.inf)
+
+
+def test_analyze_classifies_once(monkeypatch):
+    """One `analyze` classifies the deficiency graph once and takes no girth
+    or connectivity outside that classification."""
+    calls = Counter()
+    inside = []
+    real_classify, real_girth, real_connected = (defgraph.classify, defgraph.girth,
+                                                 defgraph.is_connected)
+
+    def classify_counted(g, k):
+        calls["classify"] += 1
+        inside.append(True)
+        try:
+            return real_classify(g, k)
+        finally:
+            inside.pop()
+
+    def girth_counted(g):
+        calls["girth" if not inside else "component girth"] += 1
+        return real_girth(g)
+
+    def is_connected_counted(g):
+        calls["is_connected"] += 1
+        return real_connected(g)
+
+    monkeypatch.setattr(defgraph, "classify", classify_counted)
+    monkeypatch.setattr(defgraph, "girth", girth_counted)
+    monkeypatch.setattr(defgraph, "is_connected", is_connected_counted)
+    path = catalog.catalog_dir() / catalog.catalog_entry("pent3_9_olp1").path
+    assert run(["analyze", str(path)], out=io.StringIO()) == 0
+    assert (calls["classify"], calls["girth"], calls["is_connected"]) == (1, 0, 0)
+    assert calls["component girth"] == 2
+    calls.clear()
+    ok, problems = catalog.verify_entry(catalog.catalog_entry("pent3_24"))
+    assert ok, problems
+    assert (calls["classify"], calls["girth"], calls["is_connected"]) == (1, 0, 0)
