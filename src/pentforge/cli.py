@@ -40,6 +40,14 @@ def _read(path: str) -> str:
         raise CliFailure(EXIT_INPUT, f"cannot read {path}: {exc}") from None
 
 
+def _from_catalog(read):
+    """Call `read`; a manifest that cannot be read is an input error."""
+    try:
+        return read()
+    except OSError as exc:
+        raise CliFailure(EXIT_INPUT, f"cannot read {exc.filename}: {exc}") from None
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -188,7 +196,7 @@ def cmd_complete(args, out) -> int:
 
 
 def cmd_catalog_list(args, out) -> int:
-    entries = catalog.catalog_entries()
+    entries = _from_catalog(catalog.catalog_entries)
     for e in entries:
         print(f"{e.id}: v={e.v} b={e.b} k={e.k} r={e.r}", file=out)
     _machine(out, entries=len(entries))
@@ -196,7 +204,7 @@ def cmd_catalog_list(args, out) -> int:
 
 
 def cmd_catalog_verify_all(args, out) -> int:
-    rows = catalog.catalog_verify_all()
+    rows = _from_catalog(catalog.catalog_verify_all)
     failures = 0
     for entry_id, ok, problems in rows:
         status = "PASS" if ok else "FAIL: " + "; ".join(problems)

@@ -143,6 +143,7 @@ class Sts(_CheckedWhenBuilt):
     def check(self) -> None:
         if self.v % 6 not in (1, 3):
             raise ConstructionError(f"STS order must be 1 or 3 (mod 6), got {self.v}")
+        _check_triples(self.triples, what="STS")
         _check_exact_pair_cover(self.v, self.triples, what="STS")
 
 
@@ -158,8 +159,15 @@ class Pbd(_CheckedWhenBuilt):
             raise ConstructionError("distinguished block must have 5 distinct points")
         if self.v % 6 != 5:
             raise ConstructionError(f"PBD order must be 5 (mod 6), got {self.v}")
+        _check_triples(self.triples, what="PBD")
         blocks = self.triples + (tuple(sorted(self.distinguished)),)
         _check_exact_pair_cover(self.v, blocks, what="PBD")
+
+
+def _check_triples(blocks: Sequence[tuple[int, ...]], what: str) -> None:
+    for block in blocks:
+        if len(block) != 3:
+            raise ConstructionError(f"{what}: block {block} is not a triple")
 
 
 def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],

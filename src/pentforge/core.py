@@ -13,6 +13,8 @@ import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, islice
+from operator import eq, itemgetter, lt
 from typing import Any, Callable, Iterable, Sequence
 
 KINDS = ("pent", "pls", "raw")
@@ -37,23 +39,33 @@ class Design:
     @classmethod
     def make(cls, v: int, k: int, lines: Iterable[Sequence[int]],
              r_claimed: int | None = None, kind: str = "pent") -> "Design":
-        """Canonicalize and validate lines, then build an immutable Design."""
+        """Canonicalize and validate lines, then build an immutable Design.
+
+        If every line is already a tuple of k increasing points in 0..v-1,
+        the same tuple objects are kept; otherwise each line becomes its
+        sorted tuple.  The checks run over all lines at once, and only when
+        they fail line by line, so errors and messages are unchanged: the
+        first line in input order without k distinct points in 0..v-1, else
+        the first repeated line in sorted order.  `lines` is read once.
+        """
         if kind not in KINDS:
             raise DesignError(f"unknown design kind {kind!r}")
         if v < 0 or k < 2:
             raise DesignError(f"bad parameters v={v}, k={k}")
-        canon = []
-        for raw in lines:
-            line = tuple(sorted(raw))
-            if len(line) != k or len(set(line)) != k:
-                raise DesignError(f"line {tuple(raw)} does not have {k} distinct points")
-            if line[0] < 0 or line[-1] >= v:
-                raise DesignError(f"line {line} has a point outside 0..{v - 1}")
-            canon.append(line)
+        canon = list(lines)
+        if not _canonical(canon, k, v):
+            raws, canon = canon, []
+            try:
+                canon.extend(map(tuple, map(sorted, raws)))
+            except TypeError:  # an unsortable line, unless an earlier one is bad
+                _check_each(raws, canon, k, v)
+                raise
+            if not _canonical(canon, k, v):
+                _check_each(raws, canon, k, v)
         canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DesignError(f"duplicate line {a}")
+        repeated = next(compress(canon, map(eq, canon, islice(canon, 1, None))), None)
+        if repeated is not None:
+            raise DesignError(f"duplicate line {repeated}")
         return cls(v=v, k=k, lines=tuple(canon), r_claimed=r_claimed, kind=kind)
 
     @property
@@ -68,6 +80,31 @@ class Design:
 
     def replication(self) -> list[int]:
         return [len(ls) for ls in self.incidence.through]
+
+
+def _canonical(lines: list, k: int, v: int) -> bool:
+    """True if every line is a tuple of k points rising strictly within
+    0..v-1.  One C-level pass per check and per point column."""
+    if not lines:
+        return True
+    try:
+        if set(map(type, lines)) != {tuple} or set(map(len, lines)) != {k}:
+            return False
+        columns = [list(map(itemgetter(j), lines)) for j in range(k)]
+        return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+                and min(columns[0]) >= 0 and max(columns[-1]) < v)
+    except TypeError:
+        return False
+
+
+def _check_each(raws: list, canon: list, k: int, v: int) -> None:
+    """Check the sorted lines `canon` one by one against the lines `raws`
+    they came from, raising for the first bad one."""
+    for raw, line in zip(raws, canon):
+        if len(line) != k or len(set(line)) != k:
+            raise DesignError(f"line {tuple(raw)} does not have {k} distinct points")
+        if line[0] < 0 or line[-1] >= v:
+            raise DesignError(f"line {line} has a point outside 0..{v - 1}")
 
 
 class Incidence:
@@ -306,10 +343,10 @@ def parse_design(text: str) -> Design:
 
 
 def serialize_design(d: Design) -> str:
-    """Emit the design file format; round-trips bit-exactly through parse_design."""
+    """Emit the design file format; round-trips bit-exactly through parse_design.
+    Every `line:` record comes from one template (`%s` writes a point as `str`)."""
     out = [f"kind: {d.kind}", f"v: {d.v}", f"k: {d.k}"]
     if d.r_claimed is not None:
         out.append(f"r: {d.r_claimed}")
-    for line in d.lines:
-        out.append("line: " + " ".join(str(p) for p in line))
-    return "\n".join(out) + "\n"
+    body = ("\nline:" + " %s" * d.k) * d.b % tuple(chain.from_iterable(d.lines))
+    return "\n".join(out) + body + "\n"

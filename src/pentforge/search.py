@@ -90,20 +90,25 @@ def cycle_types(n: int, smallest: int = 4) -> list[tuple[int, ...]]:
     return sorted(result)
 
 
+@lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs x < y of 0..n-1 in lexicographic order, built once per n."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
     """K_n minus vertex-disjoint cycles of the given lengths; lines are the
-    remaining edges."""
+    remaining edges, drawn from one tuple of pairs per n, so designs on the
+    same points share their line tuples."""
     n = sum(ctype)
     deleted = set()
     start = 0
     for length in ctype:
-        for i in range(length):
-            u = start + i
-            w = start + (i + 1) % length
-            deleted.add((min(u, w), max(u, w)))
+        end = start + length - 1
+        deleted.update(zip(range(start, end), range(start + 1, end + 1)))
+        deleted.add((start, end))
         start += length
-    lines = [(x, y) for x in range(n) for y in range(x + 1, n)
-             if (x, y) not in deleted]
+    lines = itertools.filterfalse(deleted.__contains__, _pairs(n))
     return Design.make(v=n, k=2, lines=lines, r_claimed=n - 3, kind="pent")
 
 

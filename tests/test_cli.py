@@ -248,3 +248,31 @@ def test_unwritable_output_exits_2(tmp_path):
     for argv, path in cases:
         code, out = invoke(argv)
         assert (code, out.startswith(f"error: cannot write {path}")) == (2, True), argv
+
+
+def test_sts_of_four_point_blocks_exits_4(tmp_path):
+    """PG(2,3), the lines {i, i+1, i+3, i+9} mod 13, covers every pair once
+    but its blocks are not triples."""
+    lines = sorted(sorted((i + d) % 13 for d in (0, 1, 3, 9)) for i in range(13))
+    sts = _write(tmp_path, "pg23.sts", "kind: sts\nv: 13\n" + "".join(
+        "triple: " + " ".join(map(str, line)) + "\n" for line in lines))
+    code, out = invoke(["build", "bose", "--sts", sts, "--drop", "0"])
+    assert (code, out) == (4, "error: STS: block (0, 1, 3, 9) is not a triple\n")
+
+
+def test_pbd_four_point_triple_exits_4(tmp_path):
+    text = (catalog.catalog_dir() / "support" / "pbd11.pbd").read_text()
+    assert "triple: 0 5 6\n" in text
+    pbd = _write(tmp_path, "bad.pbd", text.replace("triple: 0 5 6\n", "triple: 0 5 6 7\n"))
+    code, out = invoke(["build", "pbd", "--pbd", pbd, "--drop", "0"])
+    assert (code, out) == (4, "error: PBD: block (0, 5, 6, 7) is not a triple\n")
+
+
+@pytest.mark.parametrize("argv", [["catalog", "list"], ["catalog", "verify-all"]])
+def test_catalog_without_manifest_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(tmp_path))
+    code, out = invoke(argv)
+    manifest = tmp_path / "manifest.txt"
+    assert code == 2
+    assert out.startswith(f"error: cannot read {manifest}: ")
+    assert "No such file" in out and out.count("\n") == 1

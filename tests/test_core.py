@@ -1,8 +1,39 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pentforge import catalog
 from pentforge.core import (Design, DesignError, ParseError, divisibility_ok,
                             parameters, parse_design, serialize_design,
                             verify_pls)
+from pentforge.search import design_from_cycle_type, pent2_enumerate
+
+
+def ref_make(v, k, lines):
+    """`Design.make`'s former line-by-line loop, the reference for its
+    bulk checks."""
+    canon = []
+    for raw in lines:
+        line = tuple(sorted(raw))
+        if len(line) != k or len(set(line)) != k:
+            raise DesignError(f"line {tuple(raw)} does not have {k} distinct points")
+        if line[0] < 0 or line[-1] >= v:
+            raise DesignError(f"line {line} has a point outside 0..{v - 1}")
+        canon.append(line)
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise DesignError(f"duplicate line {a}")
+    return Design(v=v, k=k, lines=tuple(canon))
+
+
+def ref_serialize(d):
+    """`serialize_design`'s former per-line join, the reference for its template."""
+    out = [f"kind: {d.kind}", f"v: {d.v}", f"k: {d.k}"]
+    if d.r_claimed is not None:
+        out.append(f"r: {d.r_claimed}")
+    for line in d.lines:
+        out.append("line: " + " ".join(str(p) for p in line))
+    return "\n".join(out) + "\n"
 
 
 def test_parse_minimal_design():
@@ -116,3 +147,123 @@ def test_verify_order_invariance(pent3_9_olp1):
 def test_flag_double_count_identity(pent3_9_olp1):
     rep = verify_pls(pent3_9_olp1)
     assert pent3_9_olp1.b * pent3_9_olp1.k == pent3_9_olp1.v * rep.replication[0]
+
+
+# ---------------------------------------------------------------------------
+# Bulk checks in Design.make and the serialization template, against the
+# references above
+
+FORMS = ("sorted tuple", "tuple", "list", "generator")
+DEFECTS = ("none",) * 6 + ("short", "repeated point", "below 0", "above v-1")
+
+
+@st.composite
+def line_specs(draw):
+    """(v, k, [(points, form)], outer form): lines that are sound or short,
+    repeat a point, leave 0..v-1, or copy an earlier line in another order."""
+    k = draw(st.integers(2, 4))
+    v = draw(st.integers(k, k + 5))
+    specs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if specs and draw(st.integers(0, 4)) == 0:
+            points = draw(st.permutations(draw(st.sampled_from(specs))[0]))
+        else:
+            points = draw(st.lists(st.integers(0, v - 1), min_size=k, max_size=k,
+                                   unique=True))
+            defect = draw(st.sampled_from(DEFECTS))
+            i = draw(st.integers(0, k - 1))
+            if defect == "short":
+                del points[i]
+            elif defect == "repeated point":
+                points[i] = points[i - 1]
+            elif defect == "below 0":
+                points[i] = -1
+            elif defect == "above v-1":
+                points[i] = v
+        specs.append((list(points), draw(st.sampled_from(FORMS))))
+    return v, k, specs, draw(st.sampled_from(("list", "generator")))
+
+
+def materialize(specs, outer):
+    """Fresh line objects for one call; generators can be read only once."""
+    def as_form(points, form):
+        if form == "sorted tuple":
+            return tuple(sorted(points))
+        if form == "tuple":
+            return tuple(points)
+        if form == "list":
+            return list(points)
+        return (p for p in points)
+    lines = [as_form(points, form) for points, form in specs]
+    return iter(lines) if outer == "generator" else lines
+
+
+def outcome(make, v, k, lines):
+    try:
+        return make(v, k, lines)
+    except DesignError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_specs())
+def test_make_matches_line_by_line_reference(case):
+    v, k, specs, outer = case
+    got = outcome(lambda v, k, lines: Design.make(v=v, k=k, lines=lines),
+                  v, k, materialize(specs, outer))
+    want = outcome(ref_make, v, k, materialize(specs, outer))
+    assert got == want
+    if isinstance(got, Design):
+        assert all(type(line) is tuple for line in got.lines)
+        assert serialize_design(got) == ref_serialize(got)
+        assert parse_design(serialize_design(got)) == got
+
+
+def test_make_keeps_canonical_tuples():
+    raw = [(3, 4, 5), (0, 1, 2)]
+    d = Design.make(v=6, k=3, lines=raw)
+    assert d.lines[0] is raw[1] and d.lines[1] is raw[0]
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([(0, 1, 2), (0, 1)], r"^line \(0, 1\) does not have 3 distinct points$"),
+    ([(4, 2, 9), (0, 0, 1)], r"^line \(2, 4, 9\) has a point outside 0..5$"),
+    ([iter((5, 4, 4))], r"^line \(\) does not have 3 distinct points$"),
+    ([(1, 2, 3), (0, 1, 2), [3, 2, 1]], r"^duplicate line \(1, 2, 3\)$"),
+])
+def test_make_names_the_first_bad_line(lines, message):
+    with pytest.raises(DesignError, match=message):
+        Design.make(v=6, k=3, lines=lines)
+
+
+def test_make_unsortable_line_after_a_bad_one():
+    with pytest.raises(DesignError, match="outside"):
+        Design.make(v=6, k=3, lines=[(0, 1, 9), (0, "a", 1)])
+    with pytest.raises(TypeError):
+        Design.make(v=6, k=3, lines=[(2, 1, 0), (0, "a", 1)])
+
+
+@pytest.mark.parametrize("entry", ["pent3_9_olp1", "pent3_12", "pent4_13"])
+def test_serialize_matches_reference_on_catalog(entry):
+    d = catalog.catalog_load(entry)
+    text = serialize_design(d)
+    assert text == ref_serialize(d)
+    assert parse_design(text) == d
+
+
+def test_serialize_matches_reference_on_pent2_and_odd_points():
+    for _, d in pent2_enumerate(9):
+        assert serialize_design(d) == ref_serialize(d)
+    d = Design.make(v=5, k=2, lines=[(0.5, 1), (2, 3.0), (True, 4)], r_claimed=2)
+    assert serialize_design(d) == ref_serialize(d)
+    assert serialize_design(d).endswith("\nline: 0.5 1\nline: True 4\nline: 2 3.0\n")
+
+
+def test_cycle_type_designs_share_line_tuples():
+    a = design_from_cycle_type((4, 5))
+    b = design_from_cycle_type((9,))
+    common = set(a.lines) & set(b.lines)
+    assert len(common) == 36 - 9 - 9 + 7  # the two cycles share 7 edges
+    ids_a = {id(line) for line in a.lines if line in common}
+    ids_b = {id(line) for line in b.lines if line in common}
+    assert ids_a == ids_b
