@@ -68,7 +68,7 @@ def verify_pentagonal(d: Design) -> PentReport:
     violations = list(pls.violations)
     r = pls.replication[0] if pls.replication and pls.is_regular else None
     count_consistent = False
-    if r is not None:
+    if r:  # r = 0 (points but no lines) forces no counts
         v_expect, b_expect = parameters(d.k, r)
         count_consistent = (d.v == v_expect and d.b == b_expect)
         if not count_consistent:

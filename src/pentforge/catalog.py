@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import defgraph
 from .analysis import count_olps, verify_pentagonal
-from .construct import (ConstructionError, OrbitSpec, Pbd, Sts, expand_orbits,
-                        parse_orbit, parse_pbd, parse_sts)
-from .core import (Design, ParseError, Schema, kind_is, parse_design,
-                   point_set, read_records, records)
+from .construct import (OrbitSpec, Pbd, Sts, expand_orbits, parse_orbit,
+                        parse_pbd, parse_sts)
+from .core import (Design, DesignError, ParseError, Schema, kind_is,
+                   parse_design, point_set, read_records, read_text, records)
 
 
 class UnknownEntryError(KeyError):
@@ -91,7 +91,7 @@ def _parse_manifest(text: str) -> list[CatalogEntry]:
 
 
 def catalog_entries() -> list[CatalogEntry]:
-    text = (catalog_dir() / "manifest.txt").read_text()
+    text = read_text(catalog_dir() / "manifest.txt")
     return sorted(_parse_manifest(text), key=lambda e: e.id)
 
 
@@ -141,7 +141,7 @@ def parse_family_orbit(text: str) -> OrbitSpec:
 
 def _load_payload(path: Path) -> Design:
     """Parse a catalog payload by its suffix: .orbit, .forbit or .design."""
-    text = path.read_text()
+    text = read_text(path)
     if path.suffix == ".orbit":
         return expand_orbits(parse_orbit(text))
     if path.suffix == ".forbit":
@@ -159,7 +159,7 @@ def verify_entry(entry: CatalogEntry) -> tuple[bool, list[str]]:
     problems: list[str] = []
     try:
         design = _load_payload(catalog_dir() / entry.path)
-    except (ParseError, ConstructionError, OSError) as exc:
+    except (DesignError, OSError) as exc:
         return False, [f"load failed: {exc}"]
     if design.v != entry.v:
         problems.append(f"v={design.v}, expected {entry.v}")
@@ -198,8 +198,8 @@ def catalog_verify_all() -> list[tuple[str, bool, list[str]]]:
 # Support ingredients (Steiner triple systems and PBDs for the constructors)
 
 def support_sts(name: str) -> Sts:
-    return parse_sts((catalog_dir() / "support" / f"{name}.sts").read_text())
+    return parse_sts(read_text(catalog_dir() / "support" / f"{name}.sts"))
 
 
 def support_pbd(name: str) -> Pbd:
-    return parse_pbd((catalog_dir() / "support" / f"{name}.pbd").read_text())
+    return parse_pbd(read_text(catalog_dir() / "support" / f"{name}.pbd"))

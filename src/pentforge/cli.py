@@ -3,6 +3,7 @@
 Every command prints a human-readable report followed by a machine block of
 stable `key: value` lines.  Exit codes: 0 success/valid, 1 design invalid,
 2 input/parse error, 3 search budget exhausted, 4 precondition violation.
+Commands raise; `run` alone turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .construct import (ConstructionError, expand_orbits, gdd_compose,
                         parse_gdd, parse_orbit, parse_pbd, parse_sts,
                         bose_pent3, pbd_pent3)
 from .core import (Design, DesignError, ParseError, divisibility_ok,
-                   parameters, parse_design, serialize_design)
+                   parameters, parse_design, read_text, serialize_design)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -31,21 +32,6 @@ class CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliFailure(EXIT_INPUT, f"cannot read {path}: {exc}") from None
-
-
-def _from_catalog(read):
-    """Call `read`; a manifest that cannot be read is an input error."""
-    try:
-        return read()
-    except OSError as exc:
-        raise CliFailure(EXIT_INPUT, f"cannot read {exc.filename}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -70,9 +56,7 @@ def _emit_design(design: Design, out_path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def _verified(design: Design, skip: bool) -> Design:
-    if skip:
-        return design
+def _verified(design: Design) -> Design:
     report = verify_pentagonal(design)
     if not report.ok:
         raise CliFailure(EXIT_INVALID,
@@ -82,7 +66,7 @@ def _verified(design: Design, skip: bool) -> Design:
 
 
 def cmd_verify(args, out) -> int:
-    design = parse_design(_read(args.file))
+    design = parse_design(read_text(args.file))
     report = verify_pentagonal(design)
     for code, witness in report.violations:
         print(f"violation: {code} {witness}", file=out)
@@ -94,7 +78,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_analyze(args, out) -> int:
-    design = parse_design(_read(args.file))
+    design = parse_design(read_text(args.file))
     report = verify_pentagonal(design)
     if not report.ok or report.r is None:
         _machine(out, pentagonal=False)
@@ -113,20 +97,15 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_expand(args, out) -> int:
-    design = expand_orbits(parse_orbit(_read(args.file)))
-    design = _verified(design, args.no_verify)
+    design = _verified(expand_orbits(parse_orbit(read_text(args.file))))
     _emit_design(design, args.out, out)
     _machine(out, v=design.v, b=design.b, k=design.k)
     return EXIT_OK
 
 
 def cmd_build(args, out) -> int:
-    ingredient = args.parse(_read(args.source))
-    try:
-        design = args.construct(ingredient, args.drop)
-    except ConstructionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
-    design = _verified(design, args.no_verify)
+    ingredient = args.parse(read_text(args.source))
+    design = _verified(args.construct(ingredient, args.drop))
     _emit_design(design, args.out, out)
     _machine(out, v=design.v, b=design.b, k=design.k,
              olp_count=count_olps(design).q)
@@ -134,12 +113,9 @@ def cmd_build(args, out) -> int:
 
 
 def cmd_compose(args, out) -> int:
-    gdd = parse_gdd(_read(args.gdd))
-    parts = [(i, parse_design(_read(path))) for i, path in enumerate(args.part)]
-    try:
-        design = gdd_compose(gdd, parts)
-    except ConstructionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
+    gdd = parse_gdd(read_text(args.gdd))
+    parts = [(i, parse_design(read_text(path))) for i, path in enumerate(args.part)]
+    design = gdd_compose(gdd, parts)
     _emit_design(design, args.out, out)
     _machine(out, v=design.v, b=design.b, k=design.k,
              olp_count=count_olps(design).q)
@@ -147,20 +123,14 @@ def cmd_compose(args, out) -> int:
 
 
 def cmd_pent2_count(args, out) -> int:
-    try:
-        n = search.pent2_count(args.r)
-    except search.SearchPreconditionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
+    n = search.pent2_count(args.r)
     print(n, file=out)
     _machine(out, r=args.r, count=n)
     return EXIT_OK
 
 
 def cmd_pent2_enumerate(args, out) -> int:
-    try:
-        systems = search.pent2_enumerate(args.r)
-    except search.SearchPreconditionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
+    systems = search.pent2_enumerate(args.r)
     for ctype, design in systems:
         name = f"pent2_r{args.r}_" + "+".join(str(c) for c in ctype)
         if args.outdir:
@@ -176,27 +146,22 @@ def cmd_pent2_enumerate(args, out) -> int:
 
 
 def cmd_complete(args, out) -> int:
-    graph = defgraph.parse_graph(_read(args.graph))
+    graph = defgraph.parse_graph(read_text(args.graph))
     budget = search.SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
-    try:
-        design = search.complete_from_deficiency(graph, args.k, args.r, budget)
-    except search.SearchPreconditionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from None
-    except search.BudgetExhausted as exc:
-        raise CliFailure(EXIT_BUDGET, str(exc)) from None
+    design = search.complete_from_deficiency(graph, args.k, args.r, budget)
     if design is None:
         print("search space exhausted: no geometry has this deficiency graph",
               file=out)
         _machine(out, found=False)
         return EXIT_INVALID
-    design = _verified(design, False)
+    design = _verified(design)
     _emit_design(design, args.out, out)
     _machine(out, found=True, v=design.v, b=design.b, k=design.k)
     return EXIT_OK
 
 
 def cmd_catalog_list(args, out) -> int:
-    entries = _from_catalog(catalog.catalog_entries)
+    entries = catalog.catalog_entries()
     for e in entries:
         print(f"{e.id}: v={e.v} b={e.b} k={e.k} r={e.r}", file=out)
     _machine(out, entries=len(entries))
@@ -204,7 +169,7 @@ def cmd_catalog_list(args, out) -> int:
 
 
 def cmd_catalog_verify_all(args, out) -> int:
-    rows = _from_catalog(catalog.catalog_verify_all)
+    rows = catalog.catalog_verify_all()
     failures = 0
     for entry_id, ok, problems in rows:
         status = "PASS" if ok else "FAIL: " + "; ".join(problems)
@@ -252,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand a cyclic orbit file")
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("build", help="run a named construction")
@@ -267,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=ingredient.upper(), required=True)
         pb.add_argument("--drop", type=int, required=True)
         pb.add_argument("--out")
-        pb.add_argument("--no-verify", action="store_true")
         pb.set_defaults(func=cmd_build, parse=parse, construct=construct)
 
     p = sub.add_parser("compose", help="overlay part geometries on a GDD")
@@ -333,6 +296,12 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return EXIT_PRECONDITION
     except DesignError as exc:
         print(f"error: {exc}", file=out)
+        return EXIT_INPUT
+    except search.BudgetExhausted as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_BUDGET
+    except OSError as exc:  # `_write` reports its own; any other is a read
+        print(f"error: cannot read {exc.filename}: {exc}", file=out)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=out)

@@ -5,10 +5,11 @@ of pentagonal geometries over group divisible designs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
-from .core import (Design, DesignError, PairCoverage, Schema, kind_is,
-                   point_set, points, read_records)
+from .core import (Design, DesignError, Schema, kind_is, point_set, points,
+                   read_records)
 from .analysis import verify_pentagonal
 
 
@@ -172,19 +173,20 @@ def _check_triples(blocks: Sequence[tuple[int, ...]], what: str) -> None:
 
 def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],
                             what: str) -> None:
-    cov = PairCoverage(v)
+    covered: set[int] = set()  # pair x < y as x * v + y
     for block in blocks:
         if (not block or len(set(block)) != len(block) or min(block) < 0
                 or max(block) >= v):
             raise ConstructionError(f"{what}: bad block {block}")
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                if cov.add(block[i], block[j]) > 1:
-                    raise ConstructionError(
-                        f"{what}: pair ({block[i]},{block[j]}) covered twice")
+        for x, y in combinations(block, 2):
+            pair = x * v + y if x < y else y * v + x
+            if pair in covered:
+                raise ConstructionError(f"{what}: pair ({x},{y}) covered twice")
+            covered.add(pair)
+    # Ends within len(covered) + 1 pairs: the work is bounded by the blocks, not by v.
     for x in range(v):
         for y in range(x + 1, v):
-            if cov.count(x, y) != 1:
+            if x * v + y not in covered:
                 raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
 
 
@@ -284,7 +286,7 @@ class Gdd(_CheckedWhenBuilt):
 
     def check(self) -> None:
         seen = sorted(p for g in self.groups for p in g)
-        if seen != list(range(self.v)):
+        if len(seen) != self.v or seen != list(range(self.v)):
             raise ConstructionError("groups do not partition the point set")
         for block in self.blocks:
             if len(block) != self.k:

@@ -10,6 +10,8 @@ keeps it; every analysis of the design reads from that index.
 from __future__ import annotations
 
 import array
+import errno
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -164,13 +166,8 @@ class PairCoverage:
             x, y = y, x
         return x * (2 * self.v - x - 1) // 2 + (y - x - 1)
 
-    def add(self, x: int, y: int) -> int:
-        i = self._index(x, y)
-        self._counts[i] += 1
-        return self._counts[i]
-
-    def count(self, x: int, y: int) -> int:
-        return self._counts[self._index(x, y)]
+    def add(self, x: int, y: int) -> None:
+        self._counts[self._index(x, y)] += 1
 
     @classmethod
     def of(cls, d: Design) -> "PairCoverage":
@@ -228,7 +225,7 @@ def verify_pls(d: Design) -> VerificationReport:
 def parameters(k: int, r: int) -> tuple[int, int | None]:
     """Point and line counts forced by (k, r); line count None if non-integral."""
     if k < 2 or r < 1:
-        raise DesignError(f"parameters require k >= 2 and r >= 1, got ({k}, {r})")
+        raise ValueError(f"parameters require k >= 2 and r >= 1, got ({k}, {r})")
     v = r * k - r + k + 1
     b = v * r // k if (v * r) % k == 0 else None
     return v, b
@@ -237,8 +234,19 @@ def parameters(k: int, r: int) -> tuple[int, int | None]:
 def divisibility_ok(k: int, r: int) -> bool:
     """Necessary existence condition: k divides r(r-1)."""
     if k < 2 or r < 1:
-        raise DesignError(f"divisibility_ok requires k >= 2 and r >= 1, got ({k}, {r})")
+        raise ValueError(f"divisibility_ok requires k >= 2 and r >= 1, got ({k}, {r})")
     return r * (r - 1) % k == 0
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file; other bytes are an OSError naming the file,
+    as a file that cannot be opened is."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason})",
+                      os.fspath(path)) from None
 
 
 def records(text: str) -> list[tuple[int, str, str]]:
@@ -331,15 +339,33 @@ DESIGN = Schema("design",
 
 
 def parse_design(text: str) -> Design:
-    """Parse the line-oriented design file format into a normalized Design."""
+    """Parse the line-oriented design file format into a normalized Design.
+    A design that `Design.make` rejects is a ParseError naming the record."""
     f = read_records(text, DESIGN)
     try:
         return Design.make(v=f["v"], k=f["k"], lines=f["line"], r_claimed=f["r"],
                            kind=f["kind"] or "pent")
     except DesignError as exc:
-        if "duplicate line" in str(exc):
-            raise
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"line {_rejected_record(text, f)}: {exc}") from None
+
+
+def _rejected_record(text: str, f: dict[str, Any]) -> int:
+    """The file line of the record `Design.make` rejected in the design file
+    `text`, read into `f`: the `v:` or `k:` record, else the first `line:`
+    record bad on its own, else the second record of the least repeated line."""
+    recs = records(text)
+    if f["v"] < 0 or f["k"] < 2:
+        return next(n for n, key, _ in recs if key == ("v" if f["v"] < 0 else "k"))
+    numbered = [(n, tuple(sorted(line))) for n, line in
+                zip((n for n, key, _ in recs if key == "line"), f["line"])]
+    for n, line in numbered:
+        try:
+            Design.make(v=f["v"], k=f["k"], lines=[line])
+        except DesignError:
+            return n
+    counts = Counter(line for _, line in numbered)
+    least = min(line for line, count in counts.items() if count > 1)
+    return [n for n, line in numbered if line == least][1]
 
 
 def serialize_design(d: Design) -> str:

@@ -136,6 +136,8 @@ def complete_from_deficiency(g: Graph, k: int, r: int,
     (no geometry with this deficiency graph exists).  Raises BudgetExhausted
     if the node or time budget ran out first.
     """
+    if k < 2 or r < 1:
+        raise SearchPreconditionError(f"need k >= 2 and r >= 1, got ({k}, {r})")
     budget = budget or SearchBudget()
     v_expect = r * k - r + k + 1
     if g.n != v_expect:

@@ -1,6 +1,8 @@
 import io
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pentforge import catalog
 from pentforge.cli import run
@@ -201,7 +203,7 @@ def test_machine_block_keys_stable():
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
 
@@ -276,3 +278,175 @@ def test_catalog_without_manifest_exits_2(tmp_path, monkeypatch, argv):
     assert code == 2
     assert out.startswith(f"error: cannot read {manifest}: ")
     assert "No such file" in out and out.count("\n") == 1
+
+
+def exit_code(argv):
+    """`run`'s exit code and output; argparse's own exit is code 2 too."""
+    try:
+        return invoke(argv)
+    except SystemExit as exc:
+        return exc.code, ""
+
+
+SUPPORT = catalog.catalog_dir() / "support"
+
+
+def _graph_file(tmp_path):
+    return _write(tmp_path, "g.graph", serialize_graph(
+        build_deficiency(catalog.catalog_load("pent3_9_olp1"))))
+
+
+def _sts7():
+    return str(SUPPORT / "sts7.sts")
+
+
+# name -> (argv from tmp_path, exit code, start of the output's first line).
+# One row per exit code and per exception type that `run` maps.
+EXIT_MATRIX = {
+    "valid": (lambda t: ["verify", catalog_file("pent3_9_olp0")], 0, "pentagonal: yes"),
+    "invalid-design": (lambda t: ["verify", _write(t, "e.design", "v: 3\nk: 2\n")],
+                       1, "violation: opposite-not-a-line"),
+    "constructed-design-invalid": (
+        lambda t: ["build", "bose", "--drop", "0", "--sts", _write(t, "s.sts", "v: 1\n")],
+        1, "error: constructed design failed verification"),
+    "ParseError": (lambda t: ["verify", _write(t, "d.design", "v: x\n")],
+                   2, "parse error: line 1:"),
+    "DesignError": (
+        lambda t: ["expand", _write(t, "o.orbit", "modulus: 7\nstep: 1\nk: 1\nbase: 0\n")],
+        2, "error: bad parameters v=7, k=1"),
+    "OSError-missing": (lambda t: ["verify", str(t / "missing.design")],
+                        2, "error: cannot read "),
+    "OSError-undecodable": (
+        lambda t: ["analyze", _write(t, "d.design", b"v: 6\nk: 3\n\xff")],
+        2, "error: cannot read "),
+    "CliFailure-write": (
+        lambda t: ["pent2", "enumerate", "5", "--outdir", _write(t, "blocker", "")],
+        2, "error: cannot write"),
+    "argparse-no-verify": (
+        lambda t: ["expand", catalog_file("pent4_13"), "--no-verify"], 2, ""),
+    "BudgetExhausted": (
+        lambda t: ["complete", "--graph", _graph_file(t), "--k", "3", "--r", "9",
+                   "--nodes", "1"],
+        3, "error: "),
+    "ConstructionError-build": (
+        lambda t: ["build", "bose", "--sts", _sts7(), "--drop", "99"],
+        4, "error: drop point 99"),
+    "ConstructionError-compose": (
+        lambda t: ["compose", "--gdd", _write(t, "td.gdd", serialize_gdd(td3(6))),
+                   "--part", catalog_file("pent3_9_olp0")],
+        4, "error: need exactly one part"),
+    "SearchPreconditionError-pent2": (
+        lambda t: ["pent2", "count", "-5"], 4, "error: need r >= 2"),
+    "SearchPreconditionError-complete": (
+        lambda t: ["complete", "--graph", _graph_file(t), "--k", "3", "--r", "8"],
+        4, "error: graph has 22 vertices"),
+    "SearchPreconditionError-k": (
+        lambda t: ["complete", "--graph", _graph_file(t), "--k", "1", "--r", "9"],
+        4, "error: need k >= 2 and r >= 1, got (1, 9)"),
+    "SearchPreconditionError-r": (
+        lambda t: ["complete", "--graph", _write(t, "e.graph", "kind: graph\nv: 0\n"),
+                   "--k", "2", "--r", "-3"],
+        4, "error: need k >= 2 and r >= 1, got (2, -3)"),
+    "ValueError-spectrum": (lambda t: ["spectrum", "3", "0"], 4, "error: need k >= 2"),
+    "ValueError-params": (
+        lambda t: ["params", "1", "1"], 4, "error: parameters require k >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_MATRIX))
+def test_exit_code_matrix(tmp_path, case):
+    argv, code, first = EXIT_MATRIX[case]
+    got, out = exit_code(argv(tmp_path))
+    assert (got, out.partition("\n")[0].startswith(first)) == (code, True), out
+    assert "Traceback" not in out
+
+
+def test_undecodable_manifest_exits_2(tmp_path, monkeypatch):
+    _write(tmp_path, "manifest.txt", b"entry: x\xff\n")
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(tmp_path))
+    code, out = invoke(["catalog", "list"])
+    assert code == 2
+    assert out.startswith(f"error: cannot read {tmp_path / 'manifest.txt'}: ")
+    assert out.count("\n") == 1
+
+
+def test_verify_all_reports_a_payload_it_cannot_load_and_goes_on(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(catalog.catalog_dir(), data)
+    (data / catalog.catalog_entry("pent4_13").path).write_text(
+        "kind: orbit\nmodulus: 7\nstep: 1\nk: 1\nbase: 0\n")
+    with open(data / catalog.catalog_entry("pent3_9_olp0").path, "ab") as f:
+        f.write(b"\xff")
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(data))
+    code, out = invoke(["catalog", "verify-all"])
+    assert code == 1
+    assert "pent4_13: FAIL: load failed: bad parameters v=7, k=1\n" in out
+    assert "pent3_9_olp0: FAIL: load failed: [Errno" in out
+    assert out.count("PASS") == 21 and "failures: 2\n" in out
+
+
+@pytest.mark.parametrize("command,text", [
+    (["build", "bose", "--drop", "0", "--sts"],
+     "kind: sts\nv: 1000000000000000000000000000003\ntriple: 0 1 2\n"),
+    (["build", "pbd", "--drop", "6", "--pbd"],
+     "kind: pbd\nv: 1000000000000000000000000000001\ndistinguished: 0 1 2 3 4\n"),
+    (["compose", "--part", "p.design", "--gdd"],
+     "kind: gdd\nv: 1000000000000000000000000000000\nk: 3\ngroup: 0 1 2\n"),
+], ids=["sts", "pbd", "gdd"])
+def test_ingredient_of_huge_order_exits_4(tmp_path, command, text):
+    """The pair cover check needs memory for the blocks given, not for v."""
+    code, out = invoke(command + [_write(tmp_path, "huge", text)])
+    assert code == 4 and out.startswith("error: "), out
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v: 6\nk: 3\nline: 0 1 2\nline: 3 4 5\n# comment\nline: 2 1 0\n",
+     "line 6: duplicate line (0, 1, 2)"),
+    ("v: 6\nk: 3\nline: 0 1 2\n\nline: 3 4 9\n",
+     "line 5: line (3, 4, 9) has a point outside 0..5"),
+    ("k: 3\nv: -1\n", "line 2: bad parameters v=-1, k=3"),
+], ids=["duplicate", "outside", "parameters"])
+def test_verify_names_the_rejected_record(tmp_path, text, message):
+    code, out = invoke(["verify", _write(tmp_path, "d.design", text)])
+    assert (code, out) == (2, f"parse error: {message}\n")
+
+
+# Random input files, as raw bytes or as records with this package's keys.
+RECORD_KEYS = ("kind", "v", "k", "r", "line", "modulus", "step", "base", "lines",
+               "families", "edge", "triple", "distinguished", "group", "block")
+record_values = st.one_of(
+    st.sampled_from(("pent", "pls", "raw", "orbit", "graph", "sts", "pbd", "gdd")),
+    st.lists(st.integers(-2, 40), max_size=6).map(lambda ps: " ".join(map(str, ps))))
+record_text = st.lists(st.tuples(st.sampled_from(RECORD_KEYS), record_values),
+                       max_size=30).map(lambda rs: "".join(f"{k}: {v}\n" for k, v in rs))
+input_files = st.one_of(
+    st.binary(max_size=300), record_text.map(str.encode),
+    st.tuples(record_text, st.binary(max_size=8)).map(lambda t: t[0].encode() + t[1]))
+
+FUZZED = {
+    "verify": ["verify", "{}"],
+    "analyze": ["analyze", "{}"],
+    "expand": ["expand", "{}"],
+    "complete": ["complete", "--graph", "{}", "--k", "2", "--r", "2", "--seconds", "2"],
+    "bose": ["build", "bose", "--drop", "0", "--sts", "{}"],
+    "pbd": ["build", "pbd", "--drop", "0", "--pbd", "{}"],
+    "compose": ["compose", "--part", "p.design", "--gdd", "{}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=input_files)
+def test_any_input_file_gives_a_documented_exit_code(tmp_path, command, data):
+    path = _write(tmp_path, "input", data)
+    part = _write(tmp_path, "p.design", serialize_design(degenerate_pent(3)))
+    argv = [{"{}": path, "p.design": part}.get(a, a) for a in FUZZED[command]]
+    code, out = invoke(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code >= 2:
+        assert out.count("\n") == 1 and out.startswith(("error: ", "parse error: ")), out
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        assert (code, out.startswith(f"error: cannot read {path}: ")) == (2, True), out
