@@ -4,11 +4,12 @@ completion of geometries from a prescribed deficiency graph."""
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Generator, Iterator
 
 from .core import Design
 from .defgraph import Graph, build_deficiency, classify
@@ -16,6 +17,10 @@ from .defgraph import Graph, build_deficiency, classify
 
 # Initial candidate counting reads the clock after about this many cliques.
 CLOCK_WORK = 1 << 14
+DONE = sys.maxsize  # the count of a covered pair in the completion search
+# The completion search's trunk runs alone for this many nodes; then probe
+# run i takes up to RESTART_UNIT * luby(i) nodes, and the trunk as many again.
+RESTART_UNIT = 2048
 
 
 class BudgetExhausted(RuntimeError):
@@ -39,28 +44,26 @@ class SearchBudget:
 # ---------------------------------------------------------------------------
 # Partition function and PENT(2,r) counting
 
-@lru_cache(maxsize=None)
+_PARTITIONS = [1]  # p(0), p(1), ... as far as any call has needed
+
+
 def partition_p(n: int) -> int:
     """Partition function by Euler's pentagonal-number recurrence; p(n)=0 for
-    n < 0 and p(0)=1 so formulas evaluate uniformly at small arguments."""
+    n < 0 and p(0)=1 so formulas evaluate uniformly at small arguments.  The
+    table of values is extended bottom-up on demand, so no call recurses."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 else -1
-        if g1 <= n:
-            total += sign * partition_p(n - g1)
-        if g2 <= n:
-            total += sign * partition_p(n - g2)
-        k += 1
-    return total
+    table = _PARTITIONS
+    while len(table) <= n:
+        m, total, k = len(table), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:  # g and g + k are the pentagonal numbers
+            sign = 1 if k % 2 else -1
+            total += sign * table[m - g]
+            if g + k <= m:
+                total += sign * table[m - g - k]
+            k += 1
+        table.append(total)
+    return table[n]
 
 
 def pent2_count(r: int) -> int:
@@ -182,33 +185,44 @@ def _lines_through(nbr: list[set[int]], a: int, b: int, k: int) -> list[tuple[in
             for rest in _cliques(nbr, sorted(nbr[a] & nbr[b]), k - 2)]
 
 
-def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
-                 budget: SearchBudget) -> list[tuple[int, ...]] | None:
-    """Partition the sorted list of uncovered pairs into k-cliques.
+class _Cover:
+    """An exact cover of pairs by k-cliques in progress: the graph `nbr` of the
+    uncovered pairs and, for each of the sorted `pairs`, its count of candidate
+    lines (the k-cliques through it in `nbr`), kept as lines come and go."""
 
-    Algorithm X with fail-first branching: each uncovered pair keeps a count
-    of its candidate lines (the k-cliques through it among the uncovered
-    pairs), updated as lines are covered and uncovered; each node branches on
-    the pair with the fewest, the first in sorted order on a tie, and tries
-    its lines in lexicographic order.  The search is deterministic and runs
-    on an explicit stack; the time budget also covers the initial count.
-    """
-    deadline = time.monotonic() + budget.max_seconds
+    def __init__(self, n: int, k: int, pairs: list[tuple[int, int]]):
+        self.k = k
+        self.pairs = pairs
+        self.nbr: list[set[int]] = [set() for _ in range(n)]
+        self.index = [[0] * n for _ in range(n)]
+        for i, (x, y) in enumerate(pairs):
+            self.index[x][y] = self.index[y][x] = i
+        self.count = [DONE] * len(pairs)
+        self.order: list[int] | range = range(n)  # the root's name of each point
 
-    def check_clock() -> None:
-        if time.monotonic() > deadline:
-            raise BudgetExhausted(f"time budget {budget.max_seconds}s exhausted")
+    def count_candidates(self, check_clock: Callable[[], None]) -> None:
+        # Join every pair; each clique is counted at its last pair.
+        work = 0
+        for x, y in self.pairs:
+            work += self.join(x, y) + 1
+            if work > CLOCK_WORK:
+                work = 0
+                check_clock()
 
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    index = [[0] * n for _ in range(n)]
-    for i, (x, y) in enumerate(uncovered):
-        index[x][y] = index[y][x] = i
-    done = sys.maxsize  # the count of a covered pair
-    count = [done] * len(uncovered)
+    def relabelled(self, order: list[int] | range) -> _Cover:
+        """A copy of this counted root with each point renamed by its position in `order`."""
+        rank = {p: i for i, p in enumerate(order)}
+        copy = _Cover(len(order), self.k, sorted(tuple(sorted((rank[x], rank[y])))
+                                                 for x, y in self.pairs))
+        copy.nbr = [{rank[q] for q in self.nbr[p]} for p in order]
+        copy.count = [self.count[self.index[order[a]][order[b]]] for a, b in copy.pairs]
+        copy.order = order
+        return copy
 
-    def shift(a: int, b: int, step: int) -> int:
-        # Add step to the count of every uncovered pair sharing a clique with {a, b}.
-        rests = _cliques(nbr, list(nbr[a] & nbr[b]), k - 2)
+    def shift(self, a: int, b: int, step: int) -> int:
+        """Add step to the count of every uncovered pair sharing a clique with {a, b}."""
+        count, index = self.count, self.index
+        rests = _cliques(self.nbr, list(self.nbr[a] & self.nbr[b]), self.k - 2)
         for rest in rests:
             for z in rest:
                 count[index[a][z]] += step
@@ -217,52 +231,98 @@ def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
                 count[index[z][w]] += step
         return len(rests)
 
-    def join(a: int, b: int) -> int:
-        nbr[a].add(b)
-        nbr[b].add(a)
-        count[index[a][b]] = shift(a, b, 1)
-        return count[index[a][b]]
+    def join(self, a: int, b: int) -> int:
+        self.nbr[a].add(b)
+        self.nbr[b].add(a)
+        self.count[self.index[a][b]] = self.shift(a, b, 1)
+        return self.count[self.index[a][b]]
 
-    def cover(line: tuple[int, ...]) -> None:
+    def cover(self, line: tuple[int, ...]) -> None:
         for a, b in itertools.combinations(line, 2):
-            shift(a, b, -1)
-            nbr[a].discard(b)
-            nbr[b].discard(a)
-            count[index[a][b]] = done
+            self.shift(a, b, -1)
+            self.nbr[a].discard(b)
+            self.nbr[b].discard(a)
+            self.count[self.index[a][b]] = DONE
 
-    work = 0
-    for x, y in uncovered:  # the initial count: each clique is met at its last pair
-        work += join(x, y) + 1
-        if work > CLOCK_WORK:
-            work = 0
-            check_clock()
-
-    nodes = 0
-    chosen: list[tuple[int, ...]] = []
-    frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
-    while True:
-        fewest = min(count, default=done)
-        if fewest == done:
-            return chosen
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise BudgetExhausted(f"node budget {budget.max_nodes} exhausted")
-        check_clock()
-        lines: list[tuple[int, ...]] = []
-        if fewest:
-            lines = _lines_through(nbr, *uncovered[count.index(fewest)], k)
-            if len(lines) != fewest:
-                raise RuntimeError("candidate count out of step with the uncovered pairs")
-        frames.append(iter(lines))
+    def search(self) -> Generator[None, None, list[tuple[int, ...]] | None]:
+        """Algorithm X on an explicit stack: each node branches on the pair with the
+        fewest candidate lines, the first in sorted order on a tie, and tries its
+        lines in lexicographic order.  Yields once per node, before expanding it;
+        returns the first partition in the root's point names, or None."""
+        count = self.count
+        chosen: list[tuple[int, ...]] = []
+        frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
         while True:
-            if len(chosen) == len(frames):
-                for a, b in itertools.combinations(chosen.pop(), 2):
-                    join(a, b)
-            line = next(frames[-1], None)
-            if line is not None:
-                break
-            frames.pop()
-            if not frames:
-                return None
-        cover(line)
-        chosen.append(line)
+            fewest = min(count, default=DONE)
+            if fewest == DONE:
+                return [tuple(sorted(self.order[z] for z in line)) for line in chosen]
+            yield
+            lines: list[tuple[int, ...]] = []
+            if fewest:
+                lines = _lines_through(self.nbr, *self.pairs[count.index(fewest)], self.k)
+                if len(lines) != fewest:
+                    raise RuntimeError("candidate count out of step with the uncovered pairs")
+            frames.append(iter(lines))
+            while True:
+                if len(chosen) == len(frames):
+                    for a, b in itertools.combinations(chosen.pop(), 2):
+                        self.join(a, b)
+                line = next(frames[-1], None)
+                if line is not None:
+                    break
+                frames.pop()
+                if not frames:
+                    return None
+            self.cover(line)
+            chosen.append(line)
+
+
+def luby(i: int) -> int:
+    """Term i >= 1 of Luby, Sinclair and Zuckerman's sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while i != (1 << i.bit_length()) - 1:
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) // 2
+
+
+def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
+                 budget: SearchBudget) -> list[tuple[int, ...]] | None:
+    """Partition the sorted list of uncovered pairs into k-cliques.
+
+    The trunk is `_Cover.search` on the pairs as given.  After RESTART_UNIT
+    nodes it alternates with probes: probe run i searches a copy of the counted
+    root with the points renamed by their rank under `random.Random(i).shuffle`
+    for up to RESTART_UNIT * luby(i) nodes, then the trunk runs as many again.
+    So no one branching order can stall the search, and a proof that no
+    partition exists (None) costs at most 7/3 of the trunk's nodes.  The node
+    and time budgets cover the initial count, the trunk and every probe.
+    """
+    deadline = time.monotonic() + budget.max_seconds
+    nodes = probes = 0
+
+    def exhausted(what: str) -> BudgetExhausted:
+        return BudgetExhausted(f"{what} exhausted ({nodes} nodes, {probes} probe runs)")
+
+    def check_clock() -> None:
+        if time.monotonic() > deadline:
+            raise exhausted(f"time budget {budget.max_seconds}s")
+
+    root = _Cover(n, k, uncovered)
+    root.count_candidates(check_clock)
+    trunk = run = root.relabelled(range(n)).search()
+    while True:  # the first run to finish, trunk or probe, gives the answer
+        try:
+            for _ in range(RESTART_UNIT * luby(max(probes, 1))):
+                next(run)
+                if nodes == budget.max_nodes:
+                    raise exhausted(f"node budget {budget.max_nodes}")
+                check_clock()
+                nodes += 1
+        except StopIteration as stop:
+            return stop.value
+        if run is trunk:
+            probes += 1
+            order = list(range(n))
+            random.Random(probes).shuffle(order)
+            run = root.relabelled(order).search()
+        else:
+            run = trunk

@@ -115,6 +115,17 @@ def test_pent2_count():
     assert out.splitlines()[0] == "3"
 
 
+def test_pent2_count_500_matches_coin_change():
+    # Partitions of 503 into parts >= 4, counted by the coin-change table.
+    ways = [1] + [0] * 503
+    for part in range(4, 504):
+        for total in range(part, 504):
+            ways[total] += ways[total - part]
+    code, out = invoke(["pent2", "count", "500"])
+    assert code == 0
+    assert out.splitlines() == [str(ways[503]), "r: 500", f"count: {ways[503]}"]
+
+
 def test_pent2_enumerate(tmp_path):
     code, out = invoke(["pent2", "enumerate", "5", "--outdir", str(tmp_path)])
     assert code == 0

@@ -13,9 +13,9 @@ from pentforge.analysis import count_olps, verify_pentagonal
 from pentforge.core import Design
 from pentforge.defgraph import (Graph, build_deficiency, components, girth,
                                 moore_pent, petersen)
-from pentforge.search import (BudgetExhausted, SearchBudget,
+from pentforge.search import (RESTART_UNIT, BudgetExhausted, SearchBudget,
                               SearchPreconditionError, complete_from_deficiency,
-                              cycle_types, partition_p, pent2_count,
+                              cycle_types, luby, partition_p, pent2_count,
                               pent2_enumerate)
 from tests.conftest import check_universal
 
@@ -53,6 +53,18 @@ def test_partition_small_values(n, expected):
 def test_partition_matches_brute_force_up_to_40():
     for n in range(41):
         assert partition_p(n) == brute_force_partitions(n)
+
+
+def test_partition_of_5000_does_not_recurse(monkeypatch):
+    monkeypatch.setattr(search, "_PARTITIONS", [1])  # nothing computed yet
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        big = partition_p(5000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert partition_p(1000) == 24061467864032622473692149727991
+    assert big > partition_p(4999) > 0
 
 
 @pytest.mark.parametrize("r,expected", [(2, 1), (3, 1), (4, 1), (7, 3)])
@@ -327,6 +339,14 @@ def relabel(g: Graph, seed: int) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges])
 
 
+# The trunk alone decides every example the reference decides within this cap.
+REFERENCE_NODE_CAP = 2000
+
+
+def test_trunk_runs_alone_past_the_reference_cap():
+    assert RESTART_UNIT >= REFERENCE_NODE_CAP
+
+
 TARGETS = ("pent3_9_olp1", "pent3_10", "pent3_10_olp1", "pent3_12_olp1",
            "petersen", "c4+c5")
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -338,7 +358,7 @@ def test_completion_matches_reference_search(name, seed):
     g, k, r = target(name)
     g = relabel(g, seed)
     try:
-        lines, nodes = ref_exact_cover(g, k, r, max_nodes=2000)
+        lines, nodes = ref_exact_cover(g, k, r, max_nodes=REFERENCE_NODE_CAP)
     except BudgetExhausted:
         reject()
     expected = Design.make(v=g.n, k=k, lines=lines, r_claimed=r)
@@ -380,3 +400,78 @@ def test_k4_search_splits_the_pairs_of_half_a_geometry(seed):
     found = search._exact_cover(d.v, 4, uncovered, SearchBudget())
     assert found is not None
     assert sorted(pair for line in found for pair in itertools.combinations(line, 2)) == uncovered
+
+
+# ---------------------------------------------------------------------------
+# Trunk and probes
+
+def test_luby_sequence():
+    assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+K3_ENTRIES = [e.id for e in catalog.catalog_entries() if e.k == 3]
+
+
+@pytest.mark.parametrize("name", K3_ENTRIES)
+def test_every_k3_catalog_graph_completes(name):
+    g, k, r = target(name)
+    d = complete_from_deficiency(g, k, r, SearchBudget(max_nodes=100_000))
+    assert d is not None and verify_pentagonal(d).ok
+    assert build_deficiency(d).edges == g.edges
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["pent3_12", "pent3_15"]), seeds)
+def test_relabelled_pent3_12_and_pent3_15_decide(name, seed):
+    g, k, r = target(name)
+    g = relabel(g, seed)
+    d = complete_from_deficiency(g, k, r, SearchBudget(max_nodes=100_000))
+    assert d is not None and build_deficiency(d).edges == g.edges
+
+
+# A cubic girth-5 graph on 22 vertices with no completion to a PENT(3,9); the
+# trunk alone exhausts its space in 5591 nodes.
+NO_COMPLETION = Graph.from_edges(22, [tuple(map(int, e.split("-"))) for e in (
+    "0-10 0-18 0-21 1-4 1-7 1-20 2-14 2-16 2-19 3-7 3-15 3-19 4-9 4-21 5-8 5-16 "
+    "5-17 6-9 6-11 6-16 7-18 8-10 8-19 9-12 10-20 11-13 11-20 12-15 12-17 13-15 "
+    "13-21 14-17 14-18").split()])
+
+
+def test_probes_keep_a_proof_of_non_existence_within_twice_the_trunk():
+    with pytest.raises(BudgetExhausted):  # the trunk needs more than its head start
+        complete_from_deficiency(NO_COMPLETION, 3, 9, SearchBudget(max_nodes=RESTART_UNIT))
+    budget = SearchBudget(max_nodes=2 * 5591 + RESTART_UNIT)
+    assert complete_from_deficiency(NO_COMPLETION, 3, 9, budget) is None
+    # Exactly: the trunk's 5591 nodes and two probe runs of RESTART_UNIT each.
+    needed = 5591 + 2 * RESTART_UNIT
+    with pytest.raises(BudgetExhausted, match=f"{needed - 1} nodes, 2 probe runs"):
+        complete_from_deficiency(NO_COMPLETION, 3, 9, SearchBudget(max_nodes=needed - 1))
+    assert complete_from_deficiency(NO_COMPLETION, 3, 9, SearchBudget(max_nodes=needed)) is None
+
+
+def test_probes_share_the_node_budget():
+    g, k, r = target("pent3_12")
+    budget = SearchBudget(max_nodes=RESTART_UNIT + 100)
+    message = rf"^node budget {budget.max_nodes} exhausted \({budget.max_nodes} nodes, 1 probe runs\)$"
+    with pytest.raises(BudgetExhausted, match=message):
+        complete_from_deficiency(g, k, r, budget)
+
+
+def test_initial_count_runs_once_however_many_probes(monkeypatch):
+    calls = []
+
+    def spy(name):
+        method = getattr(search._Cover, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(search._Cover, name, wrapper)
+
+    spy("count_candidates")
+    spy("relabelled")
+    g, k, r = target("pent3_12")
+    first = complete_from_deficiency(g, k, r)
+    assert calls.count("count_candidates") == 1
+    assert calls.count("relabelled") > 2  # the trunk's copy and the probes'
+    assert complete_from_deficiency(g, k, r) == first
