@@ -18,7 +18,7 @@ from . import defgraph
 from .analysis import count_olps, verify_pentagonal
 from .construct import (OrbitSpec, Pbd, Sts, expand_orbits, parse_orbit,
                         parse_pbd, parse_sts)
-from .core import (Design, DesignError, ParseError, Schema, kind_is,
+from .core import (Design, DesignError, ParseError, Schema, at_record, kind_is,
                    parse_design, point_set, read_records, read_text, records)
 
 
@@ -127,10 +127,12 @@ FORBIT = Schema("forbit",
 
 
 def parse_family_orbit(text: str) -> OrbitSpec:
-    f = read_records(text, FORBIT)
+    recs = records(text)
+    f = read_records(recs, FORBIT)
     m = f["modulus"]
-    if any(j >= m for base in f["base"] for _, j in base):
-        raise ParseError(f"a point label has a residue outside 0..{m - 1}")
+    bad = next((i for i, base in enumerate(f["base"]) if any(j >= m for _, j in base)), None)
+    if bad is not None:
+        raise at_record(recs, "base", bad, f"a point label has a residue outside 0..{m - 1}")
     bases = tuple(tuple(family * m + j for family, j in base) for base in f["base"])
     return OrbitSpec(modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
                      expected_lines=f["lines"], families=f["families"])

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import (Design, DesignError, Schema, kind_is, point_set, points,
-                   read_records)
+                   read_records, records)
 from .analysis import verify_pentagonal
 
 
@@ -74,7 +74,7 @@ ORBIT = Schema("orbit",
 
 
 def parse_orbit(text: str) -> OrbitSpec:
-    f = read_records(text, ORBIT)
+    f = read_records(records(text), ORBIT)
     return OrbitSpec(modulus=f["modulus"], step=f["step"], k=f["k"],
                      bases=tuple(f["base"]), r=f["r"], expected_lines=f["lines"])
 
@@ -356,18 +356,18 @@ GDD = Schema("gdd", header={"kind": (kind_is("gdd"), False), "v": (int, True),
 
 
 def parse_sts(text: str) -> Sts:
-    f = read_records(text, STS)
+    f = read_records(records(text), STS)
     return Sts(v=f["v"], triples=tuple(sorted(f["triple"])))
 
 
 def parse_pbd(text: str) -> Pbd:
-    f = read_records(text, PBD)
+    f = read_records(records(text), PBD)
     return Pbd(v=f["v"], distinguished=f["distinguished"],
                triples=tuple(sorted(f["triple"])))
 
 
 def parse_gdd(text: str) -> Gdd:
-    f = read_records(text, GDD)
+    f = read_records(records(text), GDD)
     return Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
                blocks=tuple(sorted(f["block"])))
 

@@ -23,7 +23,12 @@ KINDS = ("pent", "pls", "raw")
 
 
 class DesignError(ValueError):
-    """A design violates a structural invariant."""
+    """A design violates a structural invariant.  `where`, if known, names the
+    input at fault: a parameter such as "v", or a line's input position."""
+
+    def __init__(self, message: str, where: int | str | None = None):
+        super().__init__(message)
+        self.where = where
 
 
 class ParseError(DesignError):
@@ -48,26 +53,30 @@ class Design:
         sorted tuple.  The checks run over all lines at once, and only when
         they fail line by line, so errors and messages are unchanged: the
         first line in input order without k distinct points in 0..v-1, else
-        the first repeated line in sorted order.  `lines` is read once.
+        the first repeated line in sorted order (`where` is its second input
+        position).  `lines` is read once; a list is copied only to sort it.
         """
         if kind not in KINDS:
-            raise DesignError(f"unknown design kind {kind!r}")
+            raise DesignError(f"unknown design kind {kind!r}", where="kind")
         if v < 0 or k < 2:
-            raise DesignError(f"bad parameters v={v}, k={k}")
-        canon = list(lines)
-        if not _canonical(canon, k, v):
-            raws, canon = canon, []
+            raise DesignError(f"bad parameters v={v}, k={k}", where="v" if v < 0 else "k")
+        ordered = lines if type(lines) is list else list(lines)
+        if not _canonical(ordered, k, v):
+            raws, ordered = ordered, []
             try:
-                canon.extend(map(tuple, map(sorted, raws)))
+                ordered.extend(map(tuple, map(sorted, raws)))
             except TypeError:  # an unsortable line, unless an earlier one is bad
-                _check_each(raws, canon, k, v)
+                _check_each(raws, ordered, k, v)
                 raise
-            if not _canonical(canon, k, v):
-                _check_each(raws, canon, k, v)
-        canon.sort()
-        repeated = next(compress(canon, map(eq, canon, islice(canon, 1, None))), None)
-        if repeated is not None:
-            raise DesignError(f"duplicate line {repeated}")
+            if not _canonical(ordered, k, v):
+                _check_each(raws, ordered, k, v)
+        canon = ordered
+        if not all(map(lt, ordered, islice(ordered, 1, None))):  # unsorted or repeats
+            canon = sorted(ordered)
+            repeated = next(compress(canon, map(eq, canon, islice(canon, 1, None))), None)
+            if repeated is not None:
+                raise DesignError(f"duplicate line {repeated}", where=[
+                    i for i, line in enumerate(ordered) if line == repeated][1])
         return cls(v=v, k=k, lines=tuple(canon), r_claimed=r_claimed, kind=kind)
 
     @property
@@ -102,11 +111,11 @@ def _canonical(lines: list, k: int, v: int) -> bool:
 def _check_each(raws: list, canon: list, k: int, v: int) -> None:
     """Check the sorted lines `canon` one by one against the lines `raws`
     they came from, raising for the first bad one."""
-    for raw, line in zip(raws, canon):
+    for i, (raw, line) in enumerate(zip(raws, canon)):
         if len(line) != k or len(set(line)) != k:
-            raise DesignError(f"line {tuple(raw)} does not have {k} distinct points")
+            raise DesignError(f"line {tuple(raw)} does not have {k} distinct points", where=i)
         if line[0] < 0 or line[-1] >= v:
-            raise DesignError(f"line {line} has a point outside 0..{v - 1}")
+            raise DesignError(f"line {line} has a point outside 0..{v - 1}", where=i)
 
 
 class Incidence:
@@ -296,10 +305,9 @@ def point_set(value: str) -> tuple[int, ...]:
     return tuple(sorted(map(int, value.split())))
 
 
-def read_records(text: str | list[tuple[int, str, str]],
-                 schema: Schema) -> dict[str, Any]:
-    """Read a file of the given format, or a section of one already split
-    into `records`, into converted fields.
+def read_records(recs: list[tuple[int, str, str]], schema: Schema) -> dict[str, Any]:
+    """Read the `records` of a file of the given format, or of one section
+    of such a file, into converted fields.
 
     Each header field maps to its value, or None when absent; each repeated
     field maps to the list of its values in file order.  Unknown keys,
@@ -307,9 +315,8 @@ def read_records(text: str | list[tuple[int, str, str]],
     cannot read are ParseErrors.
     """
     fields: dict[str, Any] = {key: [] for key in schema.repeated}
-    lineno, key, value = 0, "", ""
     try:
-        for lineno, key, value in records(text) if isinstance(text, str) else text:
+        for lineno, key, value in recs:
             convert = schema.repeated.get(key)
             if convert is not None:
                 fields[key].append(convert(value))
@@ -338,34 +345,23 @@ DESIGN = Schema("design",
                 repeated={"line": points})
 
 
+def at_record(recs: list, key: str, where: int | str, message: object) -> ParseError:
+    """A ParseError naming the file line of the record `where` picks from
+    `recs`: the header field it names, or the where-th `key` record."""
+    field, i = (where, 0) if isinstance(where, str) else (key, where)
+    return ParseError(f"line {[n for n, name, _ in recs if name == field][i]}: {message}")
+
+
 def parse_design(text: str) -> Design:
     """Parse the line-oriented design file format into a normalized Design.
     A design that `Design.make` rejects is a ParseError naming the record."""
-    f = read_records(text, DESIGN)
+    recs = records(text)
+    f = read_records(recs, DESIGN)
     try:
         return Design.make(v=f["v"], k=f["k"], lines=f["line"], r_claimed=f["r"],
                            kind=f["kind"] or "pent")
     except DesignError as exc:
-        raise ParseError(f"line {_rejected_record(text, f)}: {exc}") from None
-
-
-def _rejected_record(text: str, f: dict[str, Any]) -> int:
-    """The file line of the record `Design.make` rejected in the design file
-    `text`, read into `f`: the `v:` or `k:` record, else the first `line:`
-    record bad on its own, else the second record of the least repeated line."""
-    recs = records(text)
-    if f["v"] < 0 or f["k"] < 2:
-        return next(n for n, key, _ in recs if key == ("v" if f["v"] < 0 else "k"))
-    numbered = [(n, tuple(sorted(line))) for n, line in
-                zip((n for n, key, _ in recs if key == "line"), f["line"])]
-    for n, line in numbered:
-        try:
-            Design.make(v=f["v"], k=f["k"], lines=[line])
-        except DesignError:
-            return n
-    counts = Counter(line for _, line in numbered)
-    least = min(line for line, count in counts.items() if count > 1)
-    return [n for n, line in numbered if line == least][1]
+        raise at_record(recs, "line", exc.where, exc) from None
 
 
 def serialize_design(d: Design) -> str:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Design, ParseError, Schema, kind_is, read_records
+from .core import Design, DesignError, Schema, at_record, kind_is, read_records, records
 
 INFINITE_GIRTH = math.inf
 
@@ -31,11 +31,11 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         seen = set()
-        for u, w in edges:
+        for i, (u, w) in enumerate(edges):
             if u == w:
-                raise ValueError(f"loop at vertex {u}")
+                raise DesignError(f"loop at vertex {u}", where=i)
             if not (0 <= u < n and 0 <= w < n):
-                raise ValueError(f"edge ({u},{w}) out of range for n={n}")
+                raise DesignError(f"edge ({u},{w}) out of range for n={n}", where=i)
             seen.add((min(u, w), max(u, w)))
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, w in seen:
@@ -216,11 +216,12 @@ GRAPH = Schema("graph", header={"kind": (kind_is("graph"), True), "v": (int, Tru
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: kind/v header plus edge records."""
-    f = read_records(text, GRAPH)
+    recs = records(text)
+    f = read_records(recs, GRAPH)
     try:
         return Graph.from_edges(f["v"], f["edge"])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except DesignError as exc:
+        raise at_record(recs, "edge", exc.where, exc) from None
 
 
 def serialize_graph(g: Graph) -> str:

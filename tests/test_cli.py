@@ -422,6 +422,32 @@ def test_verify_names_the_rejected_record(tmp_path, text, message):
     assert (code, out) == (2, f"parse error: {message}\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("kind: graph\nv: 4\nedge: 0 1\n# comment\nedge: 2 9\n",
+     "line 5: edge (2,9) out of range for n=4"),
+    ("kind: graph\nv: 4\nedge: 0 1\n\nedge: 3 3\nedge: 1 2\n", "line 5: loop at vertex 3"),
+], ids=["range", "loop"])
+def test_complete_names_the_rejected_edge(tmp_path, text, message):
+    graph = _write(tmp_path, "g.graph", text)
+    code, out = invoke(["complete", "--graph", graph, "--k", "2", "--r", "1"])
+    assert (code, out) == (2, f"parse error: {message}\n")
+
+
+def test_verify_all_names_the_forbit_record_with_a_bad_residue(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(catalog.catalog_dir(), data)
+    path = data / catalog.catalog_entry("pent3_12").path
+    lines = path.read_text().splitlines()
+    n = lines.index("base: a1 a5 b0")
+    lines[n] = "base: a1 a5 b7"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(data))
+    code, out = invoke(["catalog", "verify-all"])
+    assert code == 1
+    assert (f"pent3_12: FAIL: load failed: line {n + 1}: a point label has a residue "
+            "outside 0..6\n") in out
+
+
 # Random input files, as raw bytes or as records with this package's keys.
 RECORD_KEYS = ("kind", "v", "k", "r", "line", "modulus", "step", "base", "lines",
                "families", "edge", "triple", "distinguished", "group", "block")

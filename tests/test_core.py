@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentforge import catalog
-from pentforge.core import (Design, DesignError, ParseError, divisibility_ok,
-                            parameters, parse_design, serialize_design,
-                            verify_pls)
+from pentforge import catalog, core
+from pentforge.core import (DESIGN, Design, DesignError, ParseError, divisibility_ok,
+                            parameters, parse_design, read_records, records,
+                            serialize_design, verify_pls)
 from pentforge.search import design_from_cycle_type, pent2_enumerate
 
 
@@ -24,6 +26,27 @@ def ref_make(v, k, lines):
         if a == b:
             raise DesignError(f"duplicate line {a}")
     return Design(v=v, k=k, lines=tuple(canon))
+
+
+def ref_rejected_record(text, f):
+    """The file line of the record `Design.make` rejected in the design file
+    `text`, read into `f`, found by validating the file again (how
+    `parse_design` once named it): the `v:` or `k:` record, else the first
+    `line:` record bad on its own, else the second record of the least
+    repeated line."""
+    recs = records(text)
+    if f["v"] < 0 or f["k"] < 2:
+        return next(n for n, key, _ in recs if key == ("v" if f["v"] < 0 else "k"))
+    numbered = [(n, tuple(sorted(line))) for n, line in
+                zip((n for n, key, _ in recs if key == "line"), f["line"])]
+    for n, line in numbered:
+        try:
+            Design.make(v=f["v"], k=f["k"], lines=[line])
+        except DesignError:
+            return n
+    counts = Counter(line for _, line in numbered)
+    least = min(line for line, count in counts.items() if count > 1)
+    return [n for n, line in numbered if line == least][1]
 
 
 def ref_serialize(d):
@@ -267,3 +290,90 @@ def test_cycle_type_designs_share_line_tuples():
     ids_a = {id(line) for line in a.lines if line in common}
     ids_b = {id(line) for line in b.lines if line in common}
     assert ids_a == ids_b
+
+
+def ref_where(v, k, specs):
+    """Input position of the line `ref_make` rejects: the first line bad on
+    its own, else the second occurrence of the least repeated line."""
+    canon = [tuple(sorted(points)) for points, _ in specs]
+    for i, line in enumerate(canon):
+        if len(line) != k or len(set(line)) != k or line[0] < 0 or line[-1] >= v:
+            return i
+    least = min(line for line in canon if canon.count(line) > 1)
+    return [i for i, line in enumerate(canon) if line == least][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_specs())
+def test_make_error_names_the_input_position(case):
+    v, k, specs, outer = case
+    try:
+        Design.make(v=v, k=k, lines=materialize(specs, outer))
+    except DesignError as exc:
+        assert exc.where == ref_where(v, k, specs)
+
+
+@pytest.mark.parametrize("v,k,where", [(-1, 3, "v"), (-1, 1, "v"), (6, 1, "k")])
+def test_make_error_names_the_bad_parameter(v, k, where):
+    with pytest.raises(DesignError) as info:
+        Design.make(v=v, k=k, lines=[])
+    assert info.value.where == where
+
+
+# ---------------------------------------------------------------------------
+# The record a rejected design file names, against the former second pass
+
+@st.composite
+def design_files(draw):
+    """A design file with records in random order, comments and blank lines:
+    `v:` and `k:` that may be out of range, and lines that are sound, short,
+    repeat a point, leave 0..v-1, or repeat an earlier line in another order."""
+    v = draw(st.sampled_from((-1, 3, 4, 5, 6, 6, 7, 7)))
+    k = draw(st.sampled_from((1, 2, 3, 3, 3, 4)))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if lines and draw(st.booleans()):
+            lines.append(draw(st.permutations(draw(st.sampled_from(lines)))))
+        elif 2 <= k <= v and draw(st.integers(0, 5)):
+            lines.append(draw(st.lists(st.integers(0, v - 1), min_size=k, max_size=k,
+                                       unique=True)))
+        else:
+            lines.append(draw(st.lists(st.integers(-1, max(v, 1)), min_size=k - 1,
+                                       max_size=k + 1)))
+    recs = [f"v: {v}", f"k: {k}", *draw(st.sampled_from([[], ["kind: pls"], ["r: 2"]])),
+            *("line: " + " ".join(map(str, line)) for line in lines)]
+    return "".join(draw(st.sampled_from(["", "\n", "# note\n"])) + rec
+                   + draw(st.sampled_from(["", "  # trailing"])) + "\n"
+                   for rec in draw(st.permutations(recs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(design_files())
+def test_parse_design_names_the_record_the_reference_names(text):
+    f = read_records(records(text), DESIGN)
+    try:
+        if f["v"] < 0 or f["k"] < 2:
+            raise DesignError(f"bad parameters v={f['v']}, k={f['k']}")
+        ref_make(f["v"], f["k"], f["line"])
+    except DesignError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_design(text)
+        assert str(info.value) == f"line {ref_rejected_record(text, f)}: {exc}"
+    else:
+        parse_design(text)
+
+
+@pytest.mark.parametrize("text", [
+    "v: 6\nk: 3\nline: 0 1 2\nline: 3 4 5\nline: 1 2 0\nline: 5 4 3\nline: 0 2 1\n",
+    "v: 6\nk: 3\nline: 0 1 2\nline: 3 4 9\nline: 0 1\n",
+    "k: 3\nv: -1\nline: 0 1 2\n",
+], ids=["duplicate", "outside", "parameters"])
+def test_failing_parse_design_splits_and_makes_once(monkeypatch, text):
+    calls = Counter()
+    split, make = core.records, Design.make
+    monkeypatch.setattr(core, "records", lambda text: calls.update(["records"]) or split(text))
+    monkeypatch.setattr(Design, "make", classmethod(
+        lambda cls, *args, **kwargs: calls.update(["make"]) or make(*args, **kwargs)))
+    with pytest.raises(ParseError):
+        parse_design(text)
+    assert calls == {"records": 1, "make": 1}

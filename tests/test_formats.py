@@ -1,13 +1,15 @@
 """The shared `key: value` reader, exercised through every file format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentforge import catalog
 from pentforge.catalog import parse_family_orbit
-from pentforge.construct import (ConstructionError, parse_gdd, parse_orbit,
-                                 parse_pbd, parse_sts, serialize_gdd, td3)
-from pentforge.core import ParseError, parse_design
-from pentforge.defgraph import parse_graph
+from pentforge.construct import (ConstructionError, Gdd, OrbitSpec, parse_gdd,
+                                 parse_orbit, parse_pbd, parse_sts, serialize_gdd,
+                                 serialize_orbit, td3)
+from pentforge.core import DesignError, ParseError, parse_design
+from pentforge.defgraph import Graph, parse_graph, serialize_graph
 
 
 def _support(name):
@@ -106,3 +108,115 @@ def test_gdd_bad_block_or_group(records):
     text = f"kind: gdd\nv: 3\nk: 3\ngroup: 0\ngroup: 1\ngroup: 2\n{records}\n"
     with pytest.raises(ConstructionError, match="bad block"):
         parse_gdd(text)
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_graph, "kind: graph\nv: 4\nedge: 0 1\n# comment\nedge: 2 9\n",
+     "line 5: edge (2,9) out of range for n=4"),
+    (parse_graph, "kind: graph\nv: 4\nedge: 0 1\n\nedge: 1 0\nedge: 3 3\nedge: 2 2\n",
+     "line 6: loop at vertex 3"),
+    (parse_graph, "edge: -1 2\nkind: graph\nv: 4\n", "line 1: edge (-1,2) out of range for n=4"),
+    (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 7\nk: 3\nbase: a0 a1 a3\n"
+     "base: a0 a1 a7\nbase: a0 a2 a9\n", "line 6: a point label has a residue outside 0..6"),
+], ids=["graph-range", "graph-loop", "graph-first-record", "forbit-residue"])
+def test_rejected_record_is_named(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# serialize -> parse round trips
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 12))
+    edge = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=30)) if n > 1 else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_graph_file_round_trips(g):
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def orbit_specs(draw):
+    m = draw(st.integers(2, 30))
+    k = draw(st.integers(2, min(m, 5)))
+    base = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True).map(tuple)
+    return OrbitSpec(modulus=m, step=draw(st.sampled_from([s for s in range(1, m + 1)
+                                                          if m % s == 0])),
+                     k=k, bases=tuple(draw(st.lists(base, max_size=4))),
+                     r=draw(st.none() | st.integers(1, 40)),
+                     expected_lines=draw(st.none() | st.integers(0, 100)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_specs())
+def test_orbit_file_round_trips(spec):
+    assert parse_orbit(serialize_orbit(spec)) == spec
+
+
+@st.composite
+def gdds(draw):
+    """td3(g) with its points relabelled and its groups reordered."""
+    gdd = td3(draw(st.integers(2, 6)))
+    perm = draw(st.permutations(range(gdd.v)))
+    groups = draw(st.permutations([tuple(sorted(perm[p] for p in g)) for g in gdd.groups]))
+    blocks = sorted(tuple(sorted(perm[p] for p in b)) for b in gdd.blocks)
+    return Gdd(v=gdd.v, k=gdd.k, groups=tuple(groups), blocks=tuple(blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gdds())
+def test_gdd_file_round_trips(gdd):
+    assert parse_gdd(serialize_gdd(gdd)) == gdd
+
+
+# ---------------------------------------------------------------------------
+# Parsers the CLI fuzz does not reach: any text is parsed or is a DesignError
+
+MANIFEST_KEYS = ("entry", "path", "source", "v", "b", "k", "r", "olp_count", "girth",
+                 "connected", "olp", "defedge")
+FORBIT_KEYS = ("kind", "families", "modulus", "k", "r", "lines", "base")
+labels = st.lists(st.tuples(st.sampled_from("abz"), st.integers(-1, 12)), max_size=5).map(
+    lambda ls: " ".join(f"{c}{j}" for c, j in ls))
+numbers = st.lists(st.integers(-2, 40), max_size=6).map(lambda ps: " ".join(map(str, ps)))
+values = st.one_of(numbers, labels, st.text(max_size=12),
+                   st.sampled_from(("forbit", "yes", "no", "0 1 2 | 3 4 5", "0 1|2",
+                                    "x.design")))
+
+
+def fuzzed_files(keys, header, tail_keys):
+    """Random bytes, random records of the format's keys, and records of its
+    `tail_keys` after a sound header, each possibly followed by random bytes."""
+    def recs(keys):
+        return st.lists(st.tuples(st.sampled_from(keys), values), max_size=20).map(
+            lambda rs: "".join(f"{k}: {v}\n" for k, v in rs))
+    text = st.one_of(recs(keys), recs(tail_keys).map(header.__add__))
+    return st.one_of(
+        st.binary(max_size=300).map(lambda b: b.decode("utf-8", "replace")), text,
+        st.tuples(text, st.binary(max_size=16)).map(lambda t: t[0] + t[1].decode("latin-1")))
+
+
+FUZZED_PARSERS = {
+    "manifest": (catalog._parse_manifest, fuzzed_files(
+        MANIFEST_KEYS, "entry: e\npath: e.design\nsource: s\nv: 6\nb: 2\nk: 3\nr: 1\n",
+        ("entry", "olp_count", "girth", "connected", "olp", "defedge"))),
+    "forbit": (parse_family_orbit, fuzzed_files(
+        FORBIT_KEYS, "kind: forbit\nfamilies: 2\nmodulus: 7\nk: 3\n", ("base",))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED_PARSERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_file_is_parsed_or_a_design_error(name, data):
+    parse, files = FUZZED_PARSERS[name]
+    try:
+        parse(data.draw(files))
+    except DesignError:
+        pass
