@@ -17,7 +17,7 @@ from pathlib import Path
 from . import defgraph
 from .analysis import count_olps, verify_pentagonal
 from .construct import (OrbitSpec, Pbd, Sts, expand_orbits, parse_orbit,
-                        parse_pbd, parse_sts)
+                        parse_pbd, parse_sts, read_orbit_spec)
 from .core import (Design, DesignError, ParseError, Schema, at_record, kind_is,
                    parse_design, point_set, read_records, read_text, records)
 
@@ -50,13 +50,17 @@ def catalog_dir() -> Path:
 
 
 def _olp(value: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left, right = value.split("|")
-    return point_set(left), point_set(right)
+    sides = value.split("|")
+    if len(sides) != 2:
+        raise ValueError("need two point sets split by '|'")
+    return point_set(sides[0]), point_set(sides[1])
 
 
 def _pair(value: str) -> tuple[int, int]:
-    u, w = point_set(value)
-    return u, w
+    pair = point_set(value)
+    if len(pair) != 2:
+        raise ValueError("need exactly two points")
+    return pair
 
 
 # One `entry:` section of the manifest.
@@ -134,8 +138,8 @@ def parse_family_orbit(text: str) -> OrbitSpec:
     if bad is not None:
         raise at_record(recs, "base", bad, f"a point label has a residue outside 0..{m - 1}")
     bases = tuple(tuple(family * m + j for family, j in base) for base in f["base"])
-    return OrbitSpec(modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
-                     expected_lines=f["lines"], families=f["families"])
+    return read_orbit_spec(recs, modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
+                           expected_lines=f["lines"], families=f["families"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import (Design, DesignError, Schema, kind_is, point_set, points,
-                   read_records, records)
+from .core import (Design, DesignError, Schema, at_record, kind_is, point_set,
+                   points, read_records, records)
 from .analysis import verify_pentagonal
 
 
@@ -35,11 +35,21 @@ class OrbitSpec:
     def __post_init__(self):
         if self.step <= 0 or self.modulus % self.step != 0:
             raise ConstructionError(
-                f"step {self.step} must be positive and divide modulus {self.modulus}")
+                f"step {self.step} must be positive and divide modulus {self.modulus}",
+                where="step")
         v = self.families * self.modulus
-        for base in self.bases:
+        for i, base in enumerate(self.bases):
             if len(set(base)) != self.k or not all(0 <= p < v for p in base):
-                raise ConstructionError(f"bad base block {base}")
+                raise ConstructionError(f"bad base block {base}", where=i)
+
+
+def read_orbit_spec(recs: list, **fields) -> OrbitSpec:
+    """OrbitSpec(**fields) for a file split into `recs`; a spec it rejects is
+    a ParseError naming the record at fault (the step or a base block)."""
+    try:
+        return OrbitSpec(**fields)
+    except ConstructionError as exc:
+        raise at_record(recs, "base", exc.where, exc) from None
 
 
 def expand_orbits(spec: OrbitSpec) -> Design:
@@ -74,9 +84,10 @@ ORBIT = Schema("orbit",
 
 
 def parse_orbit(text: str) -> OrbitSpec:
-    f = read_records(records(text), ORBIT)
-    return OrbitSpec(modulus=f["modulus"], step=f["step"], k=f["k"],
-                     bases=tuple(f["base"]), r=f["r"], expected_lines=f["lines"])
+    recs = records(text)
+    f = read_records(recs, ORBIT)
+    return read_orbit_spec(recs, modulus=f["modulus"], step=f["step"], k=f["k"],
+                           bases=tuple(f["base"]), r=f["r"], expected_lines=f["lines"])
 
 
 def serialize_orbit(spec: OrbitSpec) -> str:

@@ -15,7 +15,9 @@ from .core import Design
 from .defgraph import Graph, build_deficiency, classify
 
 
-# Initial candidate counting reads the clock after about this many cliques.
+# Initial candidate counting reads the clock after about this much work.  A pair
+# whose common neighbourhood has c points is charged (c + 1) ** max(k - 3, 1),
+# which bounds the steps of counting its cliques (c + 1 for k <= 4).
 CLOCK_WORK = 1 << 14
 DONE = sys.maxsize  # the count of a covered pair in the completion search
 # The completion search's trunk runs alone for this many nodes; then probe
@@ -169,42 +171,68 @@ def complete_from_deficiency(g: Graph, k: int, r: int,
     return design
 
 
-def _cliques(nbr: list[set[int]], pool: list[int], size: int) -> list[tuple[int, ...]]:
-    """The `size`-subsets of `pool` whose points are pairwise joined in `nbr`,
-    in lexicographic order when `pool` is sorted."""
+def _cliques(adj: list[int], pool: int, size: int) -> list[tuple[int, ...]]:
+    """The `size`-subsets of the points in the mask `pool` that are pairwise
+    joined in the bitset graph `adj`, in lexicographic order."""
+    if not size:
+        return [()]
+    found = []
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        z = low.bit_length() - 1
+        if size == 1:
+            found.append((z,))
+        else:
+            found.extend((z,) + rest for rest in _cliques(adj, pool & adj[z], size - 1))
+    return found
+
+
+def _count_cliques(adj: list[int], pool: int, size: int) -> int:
+    """len(_cliques(adj, pool, size)), counted without building a tuple."""
     if size <= 1:
-        return [(z,) for z in pool] if size else [()]
-    return [(z,) + rest for i, z in enumerate(pool)
-            for rest in _cliques(nbr, [w for w in pool[i + 1:] if w in nbr[z]], size - 1)]
+        return pool.bit_count() if size else 1
+    total = 0
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        total += _count_cliques(adj, pool & adj[low.bit_length() - 1], size - 1)
+    return total
 
 
-def _lines_through(nbr: list[set[int]], a: int, b: int, k: int) -> list[tuple[int, ...]]:
+def _lines_through(adj: list[int], a: int, b: int, k: int) -> list[tuple[int, ...]]:
     """The candidate lines for the pair {a, b}: the k-cliques through it in the
-    graph `nbr` of uncovered pairs, as sorted tuples in lexicographic order."""
-    return [tuple(sorted((a, b) + rest))
-            for rest in _cliques(nbr, sorted(nbr[a] & nbr[b]), k - 2)]
+    bitset graph `adj` of uncovered pairs, as sorted tuples in lexicographic order."""
+    return [tuple(sorted((a, b) + rest)) for rest in _cliques(adj, adj[a] & adj[b], k - 2)]
 
 
 class _Cover:
-    """An exact cover of pairs by k-cliques in progress: the graph `nbr` of the
-    uncovered pairs and, for each of the sorted `pairs`, its count of candidate
-    lines (the k-cliques through it in `nbr`), kept as lines come and go."""
+    """An exact cover of pairs by k-cliques in progress: the graph of the
+    uncovered pairs as one bitset per point (bit y of `adj[x]` is set when
+    {x, y} is uncovered; all the `pairs` are at first) and, for each of the
+    sorted `pairs`, its count of candidate lines (the k-cliques through it),
+    kept as lines come and go."""
 
     def __init__(self, n: int, k: int, pairs: list[tuple[int, int]]):
         self.k = k
         self.pairs = pairs
-        self.nbr: list[set[int]] = [set() for _ in range(n)]
+        self.adj = [0] * n
         self.index = [[0] * n for _ in range(n)]
         for i, (x, y) in enumerate(pairs):
             self.index[x][y] = self.index[y][x] = i
-        self.count = [DONE] * len(pairs)
+            self.adj[x] |= 1 << y
+            self.adj[y] |= 1 << x
+        self.count = [DONE] * len(pairs)  # until count_candidates
         self.order: list[int] | range = range(n)  # the root's name of each point
 
     def count_candidates(self, check_clock: Callable[[], None]) -> None:
-        # Join every pair; each clique is counted at its last pair.
+        # Every pair is uncovered: count the cliques through each in one pass.
+        adj, count, size = self.adj, self.count, self.k - 2
         work = 0
-        for x, y in self.pairs:
-            work += self.join(x, y) + 1
+        for i, (x, y) in enumerate(self.pairs):
+            common = adj[x] & adj[y]
+            count[i] = _count_cliques(adj, common, size)
+            work += (common.bit_count() + 1) ** max(size - 1, 1)
             if work > CLOCK_WORK:
                 work = 0
                 check_clock()
@@ -214,34 +242,47 @@ class _Cover:
         rank = {p: i for i, p in enumerate(order)}
         copy = _Cover(len(order), self.k, sorted(tuple(sorted((rank[x], rank[y])))
                                                  for x, y in self.pairs))
-        copy.nbr = [{rank[q] for q in self.nbr[p]} for p in order]
         copy.count = [self.count[self.index[order[a]][order[b]]] for a, b in copy.pairs]
         copy.order = order
         return copy
 
     def shift(self, a: int, b: int, step: int) -> int:
-        """Add step to the count of every uncovered pair sharing a clique with {a, b}."""
-        count, index = self.count, self.index
-        rests = _cliques(self.nbr, list(self.nbr[a] & self.nbr[b]), self.k - 2)
-        for rest in rests:
-            for z in rest:
-                count[index[a][z]] += step
-                count[index[b][z]] += step
-            for z, w in itertools.combinations(rest, 2):
-                count[index[z][w]] += step
-        return len(rests)
+        """Add step to the count of every uncovered pair once for each clique it
+        shares with {a, b}; return the number of cliques through {a, b}."""
+        adj, count, index, size = self.adj, self.count, self.index, self.k - 2
+        common = adj[a] & adj[b]
+        ia, ib = index[a], index[b]
+        pool = common if size else 0  # for k = 2 the pair is the whole line
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            z = low.bit_length() - 1
+            if size == 1:  # k = 3: the one line {a, b, z}
+                count[ia[z]] += step
+                count[ib[z]] += step
+                continue
+            near = common & adj[z]  # the other points of the cliques through a, b, z
+            through = step * _count_cliques(adj, near, size - 1)
+            count[ia[z]] += through
+            count[ib[z]] += through
+            iz, later = index[z], pool & near
+            while later:
+                low = later & -later
+                later ^= low
+                w = low.bit_length() - 1
+                count[iz[w]] += step * _count_cliques(adj, near & adj[w], size - 2)
+        return _count_cliques(adj, common, size)
 
-    def join(self, a: int, b: int) -> int:
-        self.nbr[a].add(b)
-        self.nbr[b].add(a)
+    def join(self, a: int, b: int) -> None:
+        self.adj[a] |= 1 << b
+        self.adj[b] |= 1 << a
         self.count[self.index[a][b]] = self.shift(a, b, 1)
-        return self.count[self.index[a][b]]
 
     def cover(self, line: tuple[int, ...]) -> None:
         for a, b in itertools.combinations(line, 2):
             self.shift(a, b, -1)
-            self.nbr[a].discard(b)
-            self.nbr[b].discard(a)
+            self.adj[a] &= ~(1 << b)
+            self.adj[b] &= ~(1 << a)
             self.count[self.index[a][b]] = DONE
 
     def search(self) -> Generator[None, None, list[tuple[int, ...]] | None]:
@@ -259,7 +300,7 @@ class _Cover:
             yield
             lines: list[tuple[int, ...]] = []
             if fewest:
-                lines = _lines_through(self.nbr, *self.pairs[count.index(fewest)], self.k)
+                lines = _lines_through(self.adj, *self.pairs[count.index(fewest)], self.k)
                 if len(lines) != fewest:
                     raise RuntimeError("candidate count out of step with the uncovered pairs")
             frames.append(iter(lines))

@@ -433,6 +433,12 @@ def test_complete_names_the_rejected_edge(tmp_path, text, message):
     assert (code, out) == (2, f"parse error: {message}\n")
 
 
+def test_expand_names_the_bad_base_block(tmp_path):
+    orbit = _write(tmp_path, "o.orbit",
+                   "kind: orbit\nmodulus: 7\nstep: 1\nk: 3\nbase: 0 1 3\nbase: 0 1 9\n")
+    assert invoke(["expand", orbit]) == (2, "parse error: line 6: bad base block (0, 1, 9)\n")
+
+
 def test_verify_all_names_the_forbit_record_with_a_bad_residue(tmp_path, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(catalog.catalog_dir(), data)

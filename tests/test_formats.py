@@ -99,8 +99,9 @@ def test_family_label_residue_outside_modulus():
 
 
 def test_family_label_outside_families():
-    with pytest.raises(ConstructionError, match="bad base block"):
+    with pytest.raises(ParseError) as info:
         parse_family_orbit("kind: forbit\nfamilies: 1\nmodulus: 7\nk: 3\nbase: a0 a1 b0\n")
+    assert str(info.value) == "line 5: bad base block (0, 1, 7)"
 
 
 @pytest.mark.parametrize("records", ["block: 0 1 5", "group:"])
@@ -118,11 +119,33 @@ def test_gdd_bad_block_or_group(records):
     (parse_graph, "edge: -1 2\nkind: graph\nv: 4\n", "line 1: edge (-1,2) out of range for n=4"),
     (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 7\nk: 3\nbase: a0 a1 a3\n"
      "base: a0 a1 a7\nbase: a0 a2 a9\n", "line 6: a point label has a residue outside 0..6"),
-], ids=["graph-range", "graph-loop", "graph-first-record", "forbit-residue"])
+    (parse_orbit, "kind: orbit\nmodulus: 7\nstep: 1\nk: 3\nbase: 0 1 3\nbase: 0 1 9\n",
+     "line 6: bad base block (0, 1, 9)"),
+    (parse_orbit, "kind: orbit\nmodulus: 7\nk: 3\nbase: 0 1 3\n# comment\nbase: 0 0 1\n"
+     "step: 1\n", "line 6: bad base block (0, 0, 1)"),
+    (parse_orbit, "kind: orbit\nmodulus: 7\nk: 3\nbase: 0 1 3\nstep: 3\n",
+     "line 5: step 3 must be positive and divide modulus 7"),
+    (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 7\nk: 3\nbase: a0 a1 a3\n"
+     "base:\n", "line 6: bad base block ()"),
+], ids=["graph-range", "graph-loop", "graph-first-record", "forbit-residue", "orbit-base",
+        "orbit-repeated-point", "orbit-step", "forbit-empty-base"])
 def test_rejected_record_is_named(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record,message", [
+    ("olp: 0 1 2", "line 8: bad olp value '0 1 2': need two point sets split by '|'"),
+    ("olp: 0 1 | 2 | 3", "line 8: bad olp value '0 1 | 2 | 3': need two point sets split by '|'"),
+    ("defedge: 1 2 3", "line 8: bad defedge value '1 2 3': need exactly two points"),
+    ("defedge: 1", "line 8: bad defedge value '1': need exactly two points"),
+], ids=["olp-one-side", "olp-three-sides", "defedge-three", "defedge-one"])
+def test_manifest_value_says_what_the_field_needs(record, message):
+    text = f"entry: e\npath: e.design\nsource: s\nv: 6\nb: 2\nk: 3\nr: 1\n{record}\n"
+    with pytest.raises(ParseError) as info:
+        catalog._parse_manifest(text)
+    assert str(info.value) == f"entry e: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_budget_validation():
 
 
 def test_time_budget_covers_initial_count(monkeypatch):
-    # Counting the candidate lines of pent4_60 alone takes half a minute; the clock
+    # Counting the candidate lines of pent4_60 takes about a second; the clock
     # jumps past the deadline right after it is set, so the search must stop
     # during the count.
     g = build_deficiency(catalog.catalog_load("pent4_60"))
@@ -215,9 +215,23 @@ def test_time_budget_covers_initial_count(monkeypatch):
 
     monkeypatch.setattr(search.time, "monotonic", clock)
     start = time.perf_counter()
-    with pytest.raises(BudgetExhausted, match="time budget"):
+    with pytest.raises(BudgetExhausted, match="time budget") as info:
         complete_from_deficiency(g, 4, 60, SearchBudget(max_seconds=1.0))
     assert time.perf_counter() - start < 1.0
+    assert any(entry.name == "count_candidates" for entry in info.traceback)
+
+
+@pytest.mark.parametrize("k, n", [(4, 60), (5, 30)])
+def test_initial_count_reads_the_clock_as_its_work_grows(k, n):
+    # With every pair of n points uncovered, counting the cliques through a
+    # pair steps once per common neighbour, and for k = 5 once more per pair
+    # of common neighbours; the clock must be read at least once per
+    # CLOCK_WORK such steps.
+    pairs = list(itertools.combinations(range(n), 2))
+    steps = len(pairs) * ((n - 2) + (k - 4) * (n - 2) * (n - 3) // 2)
+    reads = []
+    search._Cover(n, k, pairs).count_candidates(lambda: reads.append(None))
+    assert len(reads) >= steps // search.CLOCK_WORK
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -367,14 +381,12 @@ def test_completion_matches_reference_search(name, seed):
     assert complete_from_deficiency(g, k, r, budget) == expected
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from(["pent3_10", "pent4_13"]), seeds)
-def test_candidate_lines_match_brute_force(name, seed):
-    # Uncovered pairs as in mid-search: the pairs left by the forced lines,
-    # less those of a random third of the geometry's other lines.
+def mid_search(name: str, rng: random.Random):
+    """Uncovered pairs as in mid-search: the pairs left by the forced lines,
+    less those of a random third of the geometry's other lines.  Returns the
+    geometry, their graph as neighbour sets and the sorted pairs."""
     d = catalog.catalog_load(name)
     g = build_deficiency(d)
-    rng = random.Random(seed)
     taken = set(search.mandatory_lines(g, d.k))
     taken.update(rng.sample([line for line in d.lines if line not in taken], d.b // 3))
     covered = set(g.edges) | {pair for line in taken
@@ -384,9 +396,59 @@ def test_candidate_lines_match_brute_force(name, seed):
         if (x, y) not in covered:
             nbr[x].add(y)
             nbr[y].add(x)
-    uncovered = [(x, y) for x in range(d.v) for y in sorted(nbr[x]) if x < y]
+    return d, nbr, [(x, y) for x in range(d.v) for y in sorted(nbr[x]) if x < y]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["pent3_10", "pent4_13"]), seeds)
+def test_candidate_lines_match_brute_force(name, seed):
+    rng = random.Random(seed)
+    d, nbr, uncovered = mid_search(name, rng)
+    adj = [sum(1 << y for y in ys) for ys in nbr]
     for a, b in rng.sample(uncovered, 5):
-        assert search._lines_through(nbr, a, b, d.k) == ref_lines_through(nbr, a, b, d.k)
+        assert search._lines_through(adj, a, b, d.k) == ref_lines_through(nbr, a, b, d.k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["pent3_10", "pent4_13"]), seeds)
+def test_initial_counts_match_brute_force(name, seed):
+    d, nbr, uncovered = mid_search(name, random.Random(seed))
+    cover = search._Cover(d.v, d.k, uncovered)
+    cover.count_candidates(lambda: None)
+    # The k-cliques through {a, b}: (k-2)-subsets of the common neighbours
+    # whose pairs are all uncovered.
+    expected = [sum(all(w in nbr[z] for z, w in itertools.combinations(rest, 2))
+                    for rest in itertools.combinations(sorted(nbr[a] & nbr[b]), d.k - 2))
+                for a, b in uncovered]
+    assert cover.count == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 4, 5]), seeds)
+def test_counts_stay_in_step_as_lines_come_and_go(k, seed):
+    # Cover random candidate lines among the pairs of 12 points, then take the
+    # last few back as the search does: every count must equal a fresh count
+    # over the pairs left uncovered.
+    rng = random.Random(seed)
+    n = 12
+    pairs = list(itertools.combinations(range(n), 2))
+    cover = search._Cover(n, k, pairs)
+    cover.count_candidates(lambda: None)
+    chosen = []
+    for _ in range(3):
+        open_pairs = [p for i, p in enumerate(pairs) if cover.count[i] not in (0, search.DONE)]
+        if not open_pairs:
+            break
+        line = rng.choice(search._lines_through(cover.adj, *rng.choice(open_pairs), k))
+        cover.cover(line)
+        chosen.append(line)
+    for line in reversed(chosen[rng.randrange(len(chosen) + 1):]):
+        for a, b in itertools.combinations(line, 2):
+            cover.join(a, b)
+    uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != search.DONE]
+    fresh = search._Cover(n, k, uncovered)
+    fresh.count_candidates(lambda: None)
+    assert [cover.count[cover.index[x][y]] for x, y in uncovered] == fresh.count
 
 
 @settings(max_examples=10, deadline=None)
@@ -454,6 +516,15 @@ def test_probes_share_the_node_budget():
     budget = SearchBudget(max_nodes=RESTART_UNIT + 100)
     message = rf"^node budget {budget.max_nodes} exhausted \({budget.max_nodes} nodes, 1 probe runs\)$"
     with pytest.raises(BudgetExhausted, match=message):
+        complete_from_deficiency(g, k, r, budget)
+
+
+def test_k4_initial_count_leaves_the_budget_to_the_nodes():
+    # pent4_60 has 185 points and about 27M 4-cliques among its uncovered
+    # pairs; counting them must leave a short time budget to the nodes.
+    g, k, r = target("pent4_60")
+    budget = SearchBudget(max_nodes=1, max_seconds=10)
+    with pytest.raises(BudgetExhausted, match=r"^node budget 1 exhausted \(1 nodes, 0 probe runs\)$"):
         complete_from_deficiency(g, k, r, budget)
 
 
