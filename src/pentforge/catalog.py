@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import defgraph
 from .analysis import count_olps, verify_pentagonal
-from .construct import (OrbitSpec, Pbd, Sts, expand_orbits, parse_orbit,
-                        parse_pbd, parse_sts, read_orbit_spec)
-from .core import (Design, DesignError, ParseError, Schema, at_record, kind_is,
-                   parse_design, point_set, read_records, read_text, records)
+from .construct import (ConstructionError, OrbitSpec, Pbd, Sts, expand_orbits,
+                        parse_orbit, parse_pbd, parse_sts)
+from .core import (Design, DesignError, ParseError, Schema, kind_is, parse_design,
+                   point_set, read_file, read_records, read_text, records)
 
 
 class UnknownEntryError(KeyError):
@@ -130,16 +130,18 @@ FORBIT = Schema("forbit",
                 repeated={"base": _labels})
 
 
-def parse_family_orbit(text: str) -> OrbitSpec:
-    recs = records(text)
-    f = read_records(recs, FORBIT)
+def _family_orbit(f: dict) -> OrbitSpec:
     m = f["modulus"]
-    bad = next((i for i, base in enumerate(f["base"]) if any(j >= m for _, j in base)), None)
-    if bad is not None:
-        raise at_record(recs, "base", bad, f"a point label has a residue outside 0..{m - 1}")
+    for i, base in enumerate(f["base"]):
+        if any(j >= m for _, j in base):
+            raise ConstructionError(f"a point label has a residue outside 0..{m - 1}", where=i)
     bases = tuple(tuple(family * m + j for family, j in base) for base in f["base"])
-    return read_orbit_spec(recs, modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
-                           expected_lines=f["lines"], families=f["families"])
+    return OrbitSpec(modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],
+                     expected_lines=f["lines"], families=f["families"])
+
+
+def parse_family_orbit(text: str) -> OrbitSpec:
+    return read_file(text, FORBIT, _family_orbit, key="base")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import (Design, DesignError, Schema, at_record, kind_is, point_set,
-                   points, read_records, records)
+from .core import Design, DesignError, Schema, kind_is, point_set, points, read_file
 from .analysis import verify_pentagonal
 
 
@@ -41,15 +40,6 @@ class OrbitSpec:
         for i, base in enumerate(self.bases):
             if len(set(base)) != self.k or not all(0 <= p < v for p in base):
                 raise ConstructionError(f"bad base block {base}", where=i)
-
-
-def read_orbit_spec(recs: list, **fields) -> OrbitSpec:
-    """OrbitSpec(**fields) for a file split into `recs`; a spec it rejects is
-    a ParseError naming the record at fault (the step or a base block)."""
-    try:
-        return OrbitSpec(**fields)
-    except ConstructionError as exc:
-        raise at_record(recs, "base", exc.where, exc) from None
 
 
 def expand_orbits(spec: OrbitSpec) -> Design:
@@ -84,10 +74,11 @@ ORBIT = Schema("orbit",
 
 
 def parse_orbit(text: str) -> OrbitSpec:
-    recs = records(text)
-    f = read_records(recs, ORBIT)
-    return read_orbit_spec(recs, modulus=f["modulus"], step=f["step"], k=f["k"],
-                           bases=tuple(f["base"]), r=f["r"], expected_lines=f["lines"])
+    """Parse the orbit file format; a spec that OrbitSpec rejects is a
+    ParseError naming the record at fault (the step or a base block)."""
+    return read_file(text, ORBIT, lambda f: OrbitSpec(
+        modulus=f["modulus"], step=f["step"], k=f["k"], bases=tuple(f["base"]), r=f["r"],
+        expected_lines=f["lines"]), key="base")
 
 
 def serialize_orbit(spec: OrbitSpec) -> str:
@@ -291,10 +282,6 @@ class Gdd(_CheckedWhenBuilt):
     groups: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def group_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(g) for g in self.groups))
-
     def check(self) -> None:
         seen = sorted(p for g in self.groups for p in g)
         if len(seen) != self.v or seen != list(range(self.v)):
@@ -367,20 +354,17 @@ GDD = Schema("gdd", header={"kind": (kind_is("gdd"), False), "v": (int, True),
 
 
 def parse_sts(text: str) -> Sts:
-    f = read_records(records(text), STS)
-    return Sts(v=f["v"], triples=tuple(sorted(f["triple"])))
+    return read_file(text, STS, lambda f: Sts(v=f["v"], triples=tuple(sorted(f["triple"]))))
 
 
 def parse_pbd(text: str) -> Pbd:
-    f = read_records(records(text), PBD)
-    return Pbd(v=f["v"], distinguished=f["distinguished"],
-               triples=tuple(sorted(f["triple"])))
+    return read_file(text, PBD, lambda f: Pbd(v=f["v"], distinguished=f["distinguished"],
+                                              triples=tuple(sorted(f["triple"]))))
 
 
 def parse_gdd(text: str) -> Gdd:
-    f = read_records(records(text), GDD)
-    return Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
-               blocks=tuple(sorted(f["block"])))
+    return read_file(text, GDD, lambda f: Gdd(v=f["v"], k=f["k"], groups=tuple(f["group"]),
+                                              blocks=tuple(sorted(f["block"]))))
 
 
 def serialize_gdd(gdd: Gdd) -> str:

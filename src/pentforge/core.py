@@ -345,23 +345,31 @@ DESIGN = Schema("design",
                 repeated={"line": points})
 
 
-def at_record(recs: list, key: str, where: int | str, message: object) -> ParseError:
-    """A ParseError naming the file line of the record `where` picks from
-    `recs`: the header field it names, or the where-th `key` record."""
-    field, i = (where, 0) if isinstance(where, str) else (key, where)
-    return ParseError(f"line {[n for n, name, _ in recs if name == field][i]}: {message}")
+def read_file(text: str, schema: Schema, build: Callable[[dict[str, Any]], Any],
+              key: str | None = None) -> Any:
+    """Read a file of the given format and `build` its object from the fields.
+
+    A DesignError whose `where` is set becomes a ParseError naming the file
+    line of that record: the header field `where` names, or the where-th
+    `key` record.  Any other DesignError passes through unchanged.
+    """
+    recs = records(text)
+    fields = read_records(recs, schema)
+    try:
+        return build(fields)
+    except DesignError as exc:
+        if exc.where is None:
+            raise
+        field, i = (exc.where, 0) if isinstance(exc.where, str) else (key, exc.where)
+        raise ParseError(f"line {[n for n, name, _ in recs if name == field][i]}: {exc}") from None
 
 
 def parse_design(text: str) -> Design:
     """Parse the line-oriented design file format into a normalized Design.
     A design that `Design.make` rejects is a ParseError naming the record."""
-    recs = records(text)
-    f = read_records(recs, DESIGN)
-    try:
-        return Design.make(v=f["v"], k=f["k"], lines=f["line"], r_claimed=f["r"],
-                           kind=f["kind"] or "pent")
-    except DesignError as exc:
-        raise at_record(recs, "line", exc.where, exc) from None
+    return read_file(text, DESIGN, lambda f: Design.make(
+        v=f["v"], k=f["k"], lines=f["line"], r_claimed=f["r"], kind=f["kind"] or "pent"),
+        key="line")
 
 
 def serialize_design(d: Design) -> str:

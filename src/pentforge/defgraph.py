@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Design, DesignError, Schema, at_record, kind_is, read_records, records
+from .core import Design, DesignError, Schema, kind_is, read_file
 
 INFINITE_GIRTH = math.inf
 
@@ -216,12 +216,7 @@ GRAPH = Schema("graph", header={"kind": (kind_is("graph"), True), "v": (int, Tru
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: kind/v header plus edge records."""
-    recs = records(text)
-    f = read_records(recs, GRAPH)
-    try:
-        return Graph.from_edges(f["v"], f["edge"])
-    except DesignError as exc:
-        raise at_record(recs, "edge", exc.where, exc) from None
+    return read_file(text, GRAPH, lambda f: Graph.from_edges(f["v"], f["edge"]), key="edge")
 
 
 def serialize_graph(g: Graph) -> str:

@@ -11,14 +11,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Generator, Iterator
 
-from .core import Design
+from .core import Design, parameters
 from .defgraph import Graph, build_deficiency, classify
 
 
-# Initial candidate counting reads the clock after about this much work.  A pair
-# whose common neighbourhood has c points is charged (c + 1) ** max(k - 3, 1),
-# which bounds the steps of counting its cliques (c + 1 for k <= 4).
-CLOCK_WORK = 1 << 14
 DONE = sys.maxsize  # the count of a covered pair in the completion search
 # The completion search's trunk runs alone for this many nodes; then probe
 # run i takes up to RESTART_UNIT * luby(i) nodes, and the trunk as many again.
@@ -144,7 +140,7 @@ def complete_from_deficiency(g: Graph, k: int, r: int,
     if k < 2 or r < 1:
         raise SearchPreconditionError(f"need k >= 2 and r >= 1, got ({k}, {r})")
     budget = budget or SearchBudget()
-    v_expect = r * k - r + k + 1
+    v_expect, _ = parameters(k, r)
     if g.n != v_expect:
         raise SearchPreconditionError(
             f"graph has {g.n} vertices, PENT({k},{r}) needs {v_expect}")
@@ -228,14 +224,9 @@ class _Cover:
     def count_candidates(self, check_clock: Callable[[], None]) -> None:
         # Every pair is uncovered: count the cliques through each in one pass.
         adj, count, size = self.adj, self.count, self.k - 2
-        work = 0
         for i, (x, y) in enumerate(self.pairs):
-            common = adj[x] & adj[y]
-            count[i] = _count_cliques(adj, common, size)
-            work += (common.bit_count() + 1) ** max(size - 1, 1)
-            if work > CLOCK_WORK:
-                work = 0
-                check_clock()
+            count[i] = _count_cliques(adj, adj[x] & adj[y], size)
+            check_clock()
 
     def relabelled(self, order: list[int] | range) -> _Cover:
         """A copy of this counted root with each point renamed by its position in `order`."""

@@ -135,6 +135,31 @@ def test_rejected_record_is_named(parse, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("parse,text,error,message", [
+    (parse_design, "v: 6\nk: 3\nline: 0 1 2\nline: 3 4 5\nline: 2 1 0\n",
+     ParseError, "line 5: duplicate line (0, 1, 2)"),
+    (parse_graph, "kind: graph\nv: 4\nedge: 0 1\nedge: 2 9\n",
+     ParseError, "line 4: edge (2,9) out of range for n=4"),
+    (parse_orbit, "kind: orbit\nmodulus: 7\nstep: 1\nk: 3\nbase: 0 1 3\nbase: 0 1 9\n",
+     ParseError, "line 6: bad base block (0, 1, 9)"),
+    (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 5\nk: 3\nbase: a0 a1 a5\n",
+     ParseError, "line 5: a point label has a residue outside 0..4"),
+    (parse_sts, "kind: sts\nv: 7\ntriple: 0 1 2\ntriple: 0 1 3\n",
+     ConstructionError, "STS: pair (0,1) covered twice"),
+    (parse_pbd, "kind: pbd\nv: 11\ndistinguished: 0 1 2 3 4\ntriple: 0 1 5\n",
+     ConstructionError, "PBD: pair (0,1) covered twice"),
+    (parse_gdd, "kind: gdd\nv: 4\nk: 2\ngroup: 0 1\ngroup: 2 3\nblock: 0 2\nblock: 0 3\n"
+     "block: 1 2\n", ConstructionError, "GDD: pair (1,3) uncovered"),
+], ids=["design", "graph", "orbit", "forbit", "sts", "pbd", "gdd"])
+def test_every_reader_rejects_with_its_error(parse, text, error, message):
+    # A rejected record is a ParseError naming its line; an ingredient that
+    # fails its own check keeps its ConstructionError, which names no record.
+    with pytest.raises(DesignError) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("record,message", [
     ("olp: 0 1 2", "line 8: bad olp value '0 1 2': need two point sets split by '|'"),
     ("olp: 0 1 | 2 | 3", "line 8: bad olp value '0 1 | 2 | 3': need two point sets split by '|'"),
