@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import defgraph
-from .core import (Design, DesignError, VerificationReport, parameters, divisibility_ok,
-                   verify_pls)
+from .core import Design, DesignError, parameters, divisibility_ok, verify_pls
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,6 @@ class OlpSet:
 @dataclass(frozen=True)
 class PentReport:
     ok: bool
-    pls: VerificationReport
-    v: int
-    b: int
     r: int | None
     count_consistent: bool
     violations: tuple[tuple[str, tuple], ...]
@@ -80,8 +76,7 @@ def verify_pentagonal(d: Design) -> PentReport:
             if incidence.opposite_index[x] is None:
                 ok = False
                 violations.append(("opposite-not-a-line", (x, opp)))
-    return PentReport(ok=ok and count_consistent, pls=pls, v=d.v, b=d.b, r=r,
-                      count_consistent=count_consistent,
+    return PentReport(ok=ok and count_consistent, r=r, count_consistent=count_consistent,
                       violations=tuple(violations))
 
 

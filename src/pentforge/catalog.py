@@ -133,7 +133,7 @@ FORBIT = Schema("forbit",
 def _family_orbit(f: dict) -> OrbitSpec:
     m = f["modulus"]
     for i, base in enumerate(f["base"]):
-        if any(j >= m for _, j in base):
+        if m > 0 and any(j >= m for _, j in base):  # OrbitSpec rejects m <= 0
             raise ConstructionError(f"a point label has a residue outside 0..{m - 1}", where=i)
     bases = tuple(tuple(family * m + j for family, j in base) for base in f["base"])
     return OrbitSpec(modulus=m, step=1, k=f["k"], bases=bases, r=f["r"],

@@ -32,6 +32,11 @@ class OrbitSpec:
     families: int = 1
 
     def __post_init__(self):
+        for name, least in (("modulus", 1), ("families", 1), ("k", 2)):
+            value = getattr(self, name)
+            if value < least:
+                bound = "positive" if least == 1 else f"at least {least}"
+                raise ConstructionError(f"{name} must be {bound}, got {value}", where=name)
         if self.step <= 0 or self.modulus % self.step != 0:
             raise ConstructionError(
                 f"step {self.step} must be positive and divide modulus {self.modulus}",
@@ -62,8 +67,7 @@ def expand_orbits(spec: OrbitSpec) -> Design:
     if spec.expected_lines is not None and len(lines) != spec.expected_lines:
         raise ConstructionError(
             f"expected {spec.expected_lines} lines, generated {len(lines)}")
-    return Design.make(v=spec.families * m, k=spec.k, lines=lines,
-                       r_claimed=spec.r, kind="pent")
+    return Design.make(v=spec.families * m, k=spec.k, lines=lines, r_claimed=spec.r)
 
 
 ORBIT = Schema("orbit",
@@ -244,7 +248,7 @@ def _pent3_from_quasigroup(q: Quasigroup, a: int) -> Design:
             relabel[old] = len(relabel)
     lines = [tuple(relabel[p] for p in t) for t in _bose_triples(q)
              if not dropped & set(t)]
-    return Design.make(v=3 * n - 3, k=3, lines=lines, kind="pent")
+    return Design.make(v=3 * n - 3, k=3, lines=lines)
 
 
 def bose_pent3(s: Sts, a: int) -> Design:
@@ -307,9 +311,8 @@ def degenerate_pent(k: int) -> Design:
     """PENT(k,1): two disjoint k-lines, mutually opposite."""
     if k < 2:
         raise ConstructionError(f"k must be >= 2, got {k}")
-    return Design.make(v=2 * k, k=k,
-                       lines=[tuple(range(k)), tuple(range(k, 2 * k))],
-                       r_claimed=1, kind="pent")
+    return Design.make(v=2 * k, k=k, lines=[tuple(range(k)), tuple(range(k, 2 * k))],
+                       r_claimed=1)
 
 
 def gdd_compose(gdd: Gdd, parts: Sequence[tuple[int, Design]]) -> Design:
@@ -332,7 +335,7 @@ def gdd_compose(gdd: Gdd, parts: Sequence[tuple[int, Design]]) -> Design:
                 f"group {gi} has {len(group)} points but part has v={part.v}")
         ordered = sorted(group)
         lines += [tuple(ordered[p] for p in line) for line in part.lines]
-    result = Design.make(v=gdd.v, k=gdd.k, lines=lines, kind="pent")
+    result = Design.make(v=gdd.v, k=gdd.k, lines=lines)
     report = verify_pentagonal(result)
     if not report.ok:
         raise ConstructionError(

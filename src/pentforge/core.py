@@ -49,12 +49,12 @@ class Design:
         """Canonicalize and validate lines, then build an immutable Design.
 
         If every line is already a tuple of k increasing points in 0..v-1,
-        the same tuple objects are kept; otherwise each line becomes its
-        sorted tuple.  The checks run over all lines at once, and only when
-        they fail line by line, so errors and messages are unchanged: the
-        first line in input order without k distinct points in 0..v-1, else
-        the first repeated line in sorted order (`where` is its second input
-        position).  `lines` is read once; a list is copied only to sort it.
+        checked over all lines at once, the same tuple objects are kept;
+        otherwise each line becomes its sorted tuple, checked line by line in
+        input order.  The error names the first line without k distinct
+        points in 0..v-1, else the first repeated line in sorted order
+        (`where` is its second input position).  `lines` is read once; a
+        list is copied only to sort it.
         """
         if kind not in KINDS:
             raise DesignError(f"unknown design kind {kind!r}", where="kind")
@@ -62,14 +62,7 @@ class Design:
             raise DesignError(f"bad parameters v={v}, k={k}", where="v" if v < 0 else "k")
         ordered = lines if type(lines) is list else list(lines)
         if not _canonical(ordered, k, v):
-            raws, ordered = ordered, []
-            try:
-                ordered.extend(map(tuple, map(sorted, raws)))
-            except TypeError:  # an unsortable line, unless an earlier one is bad
-                _check_each(raws, ordered, k, v)
-                raise
-            if not _canonical(ordered, k, v):
-                _check_each(raws, ordered, k, v)
+            ordered = _sorted_lines(ordered, k, v)
         canon = ordered
         if not all(map(lt, ordered, islice(ordered, 1, None))):  # unsorted or repeats
             canon = sorted(ordered)
@@ -89,9 +82,6 @@ class Design:
         instance (`make` does not build it)."""
         return Incidence(self)
 
-    def replication(self) -> list[int]:
-        return [len(ls) for ls in self.incidence.through]
-
 
 def _canonical(lines: list, k: int, v: int) -> bool:
     """True if every line is a tuple of k points rising strictly within
@@ -108,14 +98,18 @@ def _canonical(lines: list, k: int, v: int) -> bool:
         return False
 
 
-def _check_each(raws: list, canon: list, k: int, v: int) -> None:
-    """Check the sorted lines `canon` one by one against the lines `raws`
-    they came from, raising for the first bad one."""
-    for i, (raw, line) in enumerate(zip(raws, canon)):
+def _sorted_lines(raws: list, k: int, v: int) -> list:
+    """Each line as its sorted tuple, in input order, raising for the first
+    bad line (a line that cannot be sorted raises its TypeError)."""
+    canon = []
+    for i, raw in enumerate(raws):
+        line = tuple(sorted(raw))
         if len(line) != k or len(set(line)) != k:
             raise DesignError(f"line {tuple(raw)} does not have {k} distinct points", where=i)
         if line[0] < 0 or line[-1] >= v:
             raise DesignError(f"line {line} has a point outside 0..{v - 1}", where=i)
+        canon.append(line)
+    return canon
 
 
 class Incidence:
@@ -191,33 +185,27 @@ class PairCoverage:
 @dataclass(frozen=True)
 class VerificationReport:
     is_pls: bool
-    is_uniform: bool
     is_regular: bool
     replication: tuple[int, ...]
     violations: tuple[tuple[str, tuple], ...] = field(default_factory=tuple)
 
     @property
     def ok(self) -> bool:
-        return self.is_pls and self.is_uniform and self.is_regular and not self.violations
+        return self.is_pls and self.is_regular and not self.violations
 
 
 def verify_pls(d: Design) -> VerificationReport:
-    """Check the partial-linear-space, uniformity and regularity conditions.
+    """Check the partial-linear-space and regularity conditions (`Design.make`
+    already made every line k distinct points).
 
     Violations are report content, never exceptions; each carries a witness.
     A pair that several lines cover gives one `pair-covered-twice`, in (x, y)
     order.  Reads the design's incidence index, building it if need be.
     """
-    violations: list[tuple[str, tuple]] = []
-    is_uniform = True
-    for line in d.lines:
-        if len(line) != d.k:
-            is_uniform = False
-            violations.append(("nonuniform-line", line))
     incidence = d.incidence
     is_pls = not incidence.multi_covered
-    violations += [("pair-covered-twice", pair) for pair in incidence.multi_covered]
-    repl = tuple(d.replication())
+    violations = [("pair-covered-twice", pair) for pair in incidence.multi_covered]
+    repl = tuple(map(len, incidence.through))
     is_regular = len(set(repl)) <= 1
     if not is_regular:
         low = min(repl)
@@ -226,8 +214,7 @@ def verify_pls(d: Design) -> VerificationReport:
                 violations.append(("irregular-point", (p, r)))
     if d.r_claimed is not None and repl and repl[0] != d.r_claimed:
         violations.append(("replication-mismatch", (d.r_claimed, repl[0])))
-    return VerificationReport(is_pls=is_pls, is_uniform=is_uniform,
-                              is_regular=is_regular, replication=repl,
+    return VerificationReport(is_pls=is_pls, is_regular=is_regular, replication=repl,
                               violations=tuple(violations))
 
 

@@ -45,16 +45,8 @@ class Graph:
                    edges=tuple(sorted(seen)),
                    neighbors=tuple(tuple(sorted(ns)) for ns in nbrs))
 
-    def degrees(self) -> list[int]:
-        return [len(ns) for ns in self.neighbors]
-
-    def is_regular(self, k: int | None = None) -> bool:
-        degs = set(self.degrees())
-        if len(degs) > 1:
-            return False
-        if k is None:
-            return True
-        return not degs or degs == {k}
+    def is_regular(self, k: int) -> bool:
+        return set(map(len, self.neighbors)) <= {k}
 
 
 def build_deficiency(d: Design) -> Graph:
@@ -189,8 +181,7 @@ def moore_pent(g: Graph, k: int) -> Design:
     gir = girth(g)
     if gir != 5:
         raise MoorePreconditionError(f"girth is {gir}, need 5")
-    return Design.make(v=g.n, k=k, lines=[ns for ns in g.neighbors],
-                       r_claimed=k, kind="pent")
+    return Design.make(v=g.n, k=k, lines=[ns for ns in g.neighbors], r_claimed=k)
 
 
 def petersen() -> Graph:

@@ -110,7 +110,7 @@ def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
         deleted.add((start, end))
         start += length
     lines = itertools.filterfalse(deleted.__contains__, _pairs(n))
-    return Design.make(v=n, k=2, lines=lines, r_claimed=n - 3, kind="pent")
+    return Design.make(v=n, k=2, lines=lines, r_claimed=n - 3)
 
 
 def pent2_enumerate(r: int) -> list[tuple[tuple[int, ...], Design]]:
@@ -155,13 +155,11 @@ def complete_from_deficiency(g: Graph, k: int, r: int,
     closed = set(g.edges)  # pairs no further line may cover
     for line in forced:
         closed.update(itertools.combinations(line, 2))
-    uncovered = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)
-                 if (x, y) not in closed]
+    uncovered = list(itertools.filterfalse(closed.__contains__, _pairs(g.n)))
     solution = _exact_cover(g.n, k, uncovered, budget)
     if solution is None:
         return None
-    design = Design.make(v=g.n, k=k, lines=forced + solution, r_claimed=r,
-                         kind="pent")
+    design = Design.make(v=g.n, k=k, lines=forced + solution, r_claimed=r)
     if build_deficiency(design).edges != g.edges:
         raise AssertionError("completion does not reproduce the target graph")
     return design

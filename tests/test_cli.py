@@ -4,10 +4,10 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pentforge import catalog
+from pentforge import catalog, cli
 from pentforge.cli import run
 from pentforge.construct import degenerate_pent, serialize_gdd, td3
-from pentforge.core import parse_design, serialize_design
+from pentforge.core import DesignError, parse_design, serialize_design
 from pentforge.defgraph import build_deficiency, serialize_graph
 
 
@@ -324,7 +324,7 @@ EXIT_MATRIX = {
                    2, "parse error: line 1:"),
     "DesignError": (
         lambda t: ["expand", _write(t, "o.orbit", "modulus: 7\nstep: 1\nk: 1\nbase: 0\n")],
-        2, "error: bad parameters v=7, k=1"),
+        2, "parse error: line 3: k must be at least 2, got 1"),
     "OSError-missing": (lambda t: ["verify", str(t / "missing.design")],
                         2, "error: cannot read "),
     "OSError-undecodable": (
@@ -372,6 +372,15 @@ def test_exit_code_matrix(tmp_path, case):
     assert "Traceback" not in out
 
 
+def test_design_error_without_a_record_exits_2(monkeypatch):
+    """No file input reaches `run`'s DesignError clause today; it stays the
+    exit path for a DesignError that names no record."""
+    def fail(spec):
+        raise DesignError("boom")
+    monkeypatch.setattr(cli, "expand_orbits", fail)
+    assert invoke(["expand", catalog_file("pent4_13")]) == (2, "error: boom\n")
+
+
 def test_undecodable_manifest_exits_2(tmp_path, monkeypatch):
     _write(tmp_path, "manifest.txt", b"entry: x\xff\n")
     monkeypatch.setenv("PENTFORGE_CATALOG", str(tmp_path))
@@ -391,7 +400,7 @@ def test_verify_all_reports_a_payload_it_cannot_load_and_goes_on(tmp_path, monke
     monkeypatch.setenv("PENTFORGE_CATALOG", str(data))
     code, out = invoke(["catalog", "verify-all"])
     assert code == 1
-    assert "pent4_13: FAIL: load failed: bad parameters v=7, k=1\n" in out
+    assert "pent4_13: FAIL: load failed: line 4: k must be at least 2, got 1\n" in out
     assert "pent3_9_olp0: FAIL: load failed: [Errno" in out
     assert out.count("PASS") == 21 and "failures: 2\n" in out
 

@@ -127,8 +127,19 @@ def test_gdd_bad_block_or_group(records):
      "line 5: step 3 must be positive and divide modulus 7"),
     (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 7\nk: 3\nbase: a0 a1 a3\n"
      "base:\n", "line 6: bad base block ()"),
+    (parse_orbit, "kind: orbit\nmodulus: 7\nstep: 1\nk: 1\nbase: 0\n",
+     "line 4: k must be at least 2, got 1"),
+    (parse_orbit, "kind: orbit\nmodulus: 0\nstep: 1\nk: 3\n",
+     "line 2: modulus must be positive, got 0"),
+    (parse_orbit, "kind: orbit\nmodulus: -7\nstep: 1\nk: 3\nbase: 0 1 3\n",
+     "line 2: modulus must be positive, got -7"),
+    (parse_family_orbit, "kind: forbit\nfamilies: 0\nmodulus: 7\nk: 3\nbase: a0 a1 a3\n",
+     "line 2: families must be positive, got 0"),
+    (parse_family_orbit, "kind: forbit\nfamilies: 1\nmodulus: 0\nk: 3\nbase: a0 a1 a3\n",
+     "line 3: modulus must be positive, got 0"),
 ], ids=["graph-range", "graph-loop", "graph-first-record", "forbit-residue", "orbit-base",
-        "orbit-repeated-point", "orbit-step", "forbit-empty-base"])
+        "orbit-repeated-point", "orbit-step", "forbit-empty-base", "orbit-k", "orbit-modulus-0",
+        "orbit-modulus-negative", "forbit-families", "forbit-modulus-0"])
 def test_rejected_record_is_named(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
