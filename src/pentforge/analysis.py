@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import defgraph
-from .core import Design, DesignError, parameters, divisibility_ok, verify_pls
+from .core import (Design, DesignError, VerificationReport, divisibility_ok, parameters,
+                   verify_pls)
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,6 @@ class OlpSet:
     @property
     def q(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class PentReport:
-    ok: bool
-    r: int | None
-    count_consistent: bool
-    violations: tuple[tuple[str, tuple], ...]
 
 
 @dataclass(frozen=True)
@@ -58,26 +51,23 @@ def opposite_line_map(d: Design) -> OppositeLineMap:
                            line_index=incidence.opposite_index)
 
 
-def verify_pentagonal(d: Design) -> PentReport:
-    """Full pentagonal check: uniform regular PLS plus the opposite-line axiom."""
+def verify_pentagonal(d: Design) -> VerificationReport:
+    """Full pentagonal check: uniform regular PLS plus the point and line
+    counts (v, b) that r forces and the opposite-line axiom.  A design
+    passes only with r >= 1."""
     pls = verify_pls(d)
     violations = list(pls.violations)
-    r = pls.replication[0] if pls.replication and pls.is_regular else None
-    count_consistent = False
-    if r:  # r = 0 (points but no lines) forces no counts
-        v_expect, b_expect = parameters(d.k, r)
-        count_consistent = (d.v == v_expect and d.b == b_expect)
-        if not count_consistent:
-            violations.append(("count-mismatch", (d.v, d.b, v_expect, b_expect)))
-    ok = pls.ok
-    if ok:
+    if pls.r:  # r = 0 (points but no lines) forces no counts
+        expect = parameters(d.k, pls.r)
+        if (d.v, d.b) != expect:
+            violations.append(("count-mismatch", (d.v, d.b, *expect)))
+    if pls.ok:
         incidence = d.incidence
-        for x, opp in enumerate(incidence.opposites):
-            if incidence.opposite_index[x] is None:
-                ok = False
-                violations.append(("opposite-not-a-line", (x, opp)))
-    return PentReport(ok=ok and count_consistent, r=r, count_consistent=count_consistent,
-                      violations=tuple(violations))
+        violations += [("opposite-not-a-line", (x, opp))
+                       for x, opp in enumerate(incidence.opposites)
+                       if incidence.opposite_index[x] is None]
+    return VerificationReport(ok=bool(pls.r) and not violations, r=pls.r,
+                              violations=tuple(violations))
 
 
 def count_olps(d: Design) -> OlpSet:

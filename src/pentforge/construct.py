@@ -53,8 +53,13 @@ def expand_orbits(spec: OrbitSpec) -> Design:
 
     Every orbit must have full length modulus/step and all generated lines
     must be distinct; a repeat signals a transcription error in the base blocks.
+    The line count that `lines:` declares is checked before any orbit is
+    developed.
     """
     m = spec.modulus
+    count = len(spec.bases) * (m // spec.step)
+    if spec.expected_lines is not None and count != spec.expected_lines:
+        raise ConstructionError(f"expected {spec.expected_lines} lines, generated {count}")
     lines: set[tuple[int, ...]] = set()
     for base in spec.bases:
         split = [(p - p % m, p % m) for p in base]
@@ -64,9 +69,6 @@ def expand_orbits(spec: OrbitSpec) -> Design:
                 raise ConstructionError(
                     f"duplicate generated line {line} (base {base}, shift {s})")
             lines.add(line)
-    if spec.expected_lines is not None and len(lines) != spec.expected_lines:
-        raise ConstructionError(
-            f"expected {spec.expected_lines} lines, generated {len(lines)}")
     return Design.make(v=spec.families * m, k=spec.k, lines=lines, r_claimed=spec.r)
 
 

@@ -13,7 +13,7 @@ import array
 import errno
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice
 from operator import eq, itemgetter, lt
@@ -115,7 +115,7 @@ def _sorted_lines(raws: list, k: int, v: int) -> list:
 class Incidence:
     """Point-line index of one Design, built by `Design.incidence`.
 
-    `through[x]` holds the numbers of the lines through x, ascending;
+    `replication[x]` holds the number of lines through x;
     `opposites[x]` the points not collinear with x, sorted; `opposite_index[x]`
     the number of the line equal to `opposites[x]`, or None; `multi_covered`
     the pairs (x, y), x < y, that more than one line covers, sorted;
@@ -135,11 +135,11 @@ class Incidence:
         for i, line in enumerate(lines):
             for p in line:
                 through[p].append(i)
-        self.through = tuple(map(tuple, through))
+        self.replication = tuple(map(len, through))
         everyone = set(range(d.v))
         opposites = []
         multi_covered = []
-        for x, ls in enumerate(self.through):
+        for x, ls in enumerate(through):
             met = [p for i in ls for p in lines[i]]
             collinear = set(met)
             collinear.add(x)
@@ -150,7 +150,7 @@ class Incidence:
             opposites.append(tuple(sorted(everyone - collinear)))
         self.opposites = tuple(opposites)
         self.opposite_index = tuple(
-            next((i for i in self.through[opp[0]] if lines[i] == opp), None)
+            next((i for i in through[opp[0]] if lines[i] == opp), None)
             if opp else None
             for opp in self.opposites)
         self.multi_covered = tuple(multi_covered)
@@ -184,14 +184,12 @@ class PairCoverage:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    is_pls: bool
-    is_regular: bool
-    replication: tuple[int, ...]
-    violations: tuple[tuple[str, tuple], ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return self.is_pls and self.is_regular and not self.violations
+    """One verdict: whether the design passes, the number of lines through
+    every point (None if points differ or there are no points), and the
+    violations, each with its witness."""
+    ok: bool
+    r: int | None
+    violations: tuple[tuple[str, tuple], ...]
 
 
 def verify_pls(d: Design) -> VerificationReport:
@@ -200,22 +198,20 @@ def verify_pls(d: Design) -> VerificationReport:
 
     Violations are report content, never exceptions; each carries a witness.
     A pair that several lines cover gives one `pair-covered-twice`, in (x, y)
-    order.  Reads the design's incidence index, building it if need be.
+    order.  A claimed r is compared only with a common r, so no verdict
+    depends on how the points are labelled.  Reads the design's incidence
+    index, building it if need be.
     """
     incidence = d.incidence
-    is_pls = not incidence.multi_covered
     violations = [("pair-covered-twice", pair) for pair in incidence.multi_covered]
-    repl = tuple(map(len, incidence.through))
-    is_regular = len(set(repl)) <= 1
-    if not is_regular:
-        low = min(repl)
-        for p, r in enumerate(repl):
-            if r != low:
-                violations.append(("irregular-point", (p, r)))
-    if d.r_claimed is not None and repl and repl[0] != d.r_claimed:
-        violations.append(("replication-mismatch", (d.r_claimed, repl[0])))
-    return VerificationReport(is_pls=is_pls, is_regular=is_regular, replication=repl,
-                              violations=tuple(violations))
+    repl = incidence.replication
+    low = min(repl, default=None)
+    irregular = [("irregular-point", (p, n)) for p, n in enumerate(repl) if n != low]
+    violations += irregular
+    r = None if irregular else low
+    if r is not None and d.r_claimed not in (None, r):
+        violations.append(("replication-mismatch", (d.r_claimed, r)))
+    return VerificationReport(ok=not violations, r=r, violations=tuple(violations))
 
 
 def parameters(k: int, r: int) -> tuple[int, int | None]:

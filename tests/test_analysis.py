@@ -5,7 +5,7 @@ from pentforge.analysis import (count_olps, known_spectrum, max_olps_bound,
                                 opposite_line, two_olp_counts,
                                 two_olp_excluded, verify_pentagonal)
 from pentforge.construct import degenerate_pent
-from pentforge.core import Design
+from pentforge.core import Design, VerificationReport, parameters
 from pentforge.defgraph import cycle_graph, moore_pent
 
 
@@ -30,7 +30,27 @@ def test_opposite_line_one_olp_pent3_10():
 
 def test_verify_pentagonal_passes(pent3_9_olp0):
     rep = verify_pentagonal(pent3_9_olp0)
-    assert rep.ok and rep.r == 9 and rep.count_consistent
+    assert rep == VerificationReport(ok=True, r=9, violations=())
+    assert parameters(3, rep.r) == (pent3_9_olp0.v, pent3_9_olp0.b)
+
+
+def test_verify_pentagonal_flags_counts_r_forces():
+    # Two disjoint PENT(3,1)s: regular with r = 1, but r = 1 forces 6 points.
+    twice = Design.make(v=12, k=3, lines=[(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
+    rep = verify_pentagonal(twice)
+    assert not rep.ok and rep.r == 1
+    assert rep.violations[0] == ("count-mismatch", (12, 4, 6, 2))
+
+
+@pytest.mark.parametrize("v,k,lines,r,codes", [
+    (0, 3, [], None, set()),  # no points: no r and no violation, yet no geometry
+    (4, 3, [], 0, {"opposite-not-a-line"}),  # every opposite set is all other points
+    (5, 2, [(0, 1), (0, 2)], None, {"irregular-point"}),
+])
+def test_verify_pentagonal_r_when_it_fails(v, k, lines, r, codes):
+    rep = verify_pentagonal(Design.make(v=v, k=k, lines=lines))
+    assert not rep.ok and rep.r == r
+    assert {code for code, _ in rep.violations} == codes
 
 
 def test_verify_pentagonal_broken_by_deleting_a_line(pent3_9_olp0):

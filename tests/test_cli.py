@@ -1,13 +1,14 @@
 import io
 import shutil
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from pentforge import catalog, cli
 from pentforge.cli import run
 from pentforge.construct import degenerate_pent, serialize_gdd, td3
-from pentforge.core import DesignError, parse_design, serialize_design
+from pentforge.core import Design, DesignError, parse_design, serialize_design
 from pentforge.defgraph import build_deficiency, serialize_graph
 
 
@@ -31,7 +32,6 @@ def test_verify_valid(tmp_path):
 def test_verify_invalid(tmp_path):
     d = catalog.catalog_load("pent3_9_olp0")
     broken = d.lines[1:]
-    from pentforge.core import Design
     path = tmp_path / "broken.design"
     path.write_text(serialize_design(Design.make(v=22, k=3, lines=broken)))
     code, out = invoke(["verify", str(path)])
@@ -502,3 +502,48 @@ def test_any_input_file_gives_a_documented_exit_code(tmp_path, command, data):
         data.decode()
     except UnicodeDecodeError:
         assert (code, out.startswith(f"error: cannot read {path}: ")) == (2, True), out
+
+
+
+# Verdicts on the CLI path do not depend on how the points are labelled.
+CATALOG_IDS = [e.id for e in catalog.catalog_entries()]
+
+
+@st.composite
+def relabelled_catalog_designs(draw):
+    """A catalog design or one of its one-point mutants (one point of one
+    line swapped for a point off that line), and the same design under a
+    random relabelling of its points."""
+    d = catalog.catalog_load(draw(st.sampled_from(CATALOG_IDS)))
+    lines = [list(line) for line in d.lines]
+    if draw(st.booleans()):
+        line = lines[draw(st.integers(0, d.b - 1))]
+        line[draw(st.integers(0, d.k - 1))] = draw(
+            st.sampled_from([p for p in range(d.v) if p not in line]))
+        assume(len(set(map(frozenset, lines))) == d.b)
+    perm = draw(st.permutations(range(d.v)))
+    relabelled = [[perm[p] for p in line] for line in lines]
+    return tuple(Design.make(v=d.v, k=d.k, lines=ls, r_claimed=d.r_claimed, kind=d.kind)
+                 for ls in (lines, relabelled))
+
+
+def verdict(tmp_path, design):
+    """The exit codes and output lines of `verify` and `analyze` as a
+    multiset, each violation cut to its code."""
+    path = _write(tmp_path, "d.design", serialize_design(design))
+    seen = Counter()
+    for command in ("verify", "analyze"):
+        code, out = invoke([command, path])
+        seen[f"{command} exit {code}"] += 1
+        seen.update(f"{command} " + (line.split(" (", 1)[0]
+                                     if line.startswith("violation: ") else line)
+                    for line in out.splitlines())
+    return seen
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=relabelled_catalog_designs())
+def test_verdict_does_not_depend_on_labels(tmp_path, pair):
+    design, relabelled = pair
+    assert verdict(tmp_path, design) == verdict(tmp_path, relabelled)

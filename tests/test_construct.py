@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -44,6 +45,22 @@ def test_expand_detects_duplicates():
 def test_expand_count_mismatch():
     spec = OrbitSpec(modulus=5, step=1, k=2, bases=((0, 1),), expected_lines=4)
     with pytest.raises(ConstructionError, match="expected 4 lines"):
+        expand_orbits(spec)
+
+
+def test_expand_checks_count_before_developing():
+    # A million-line orbit is never developed to learn it is not 3 lines.
+    spec = OrbitSpec(modulus=1_000_000, step=1, k=3, bases=((0, 1, 3),), expected_lines=3)
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError) as exc:
+        expand_orbits(spec)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == "expected 3 lines, generated 1000000"
+
+
+def test_expand_count_reported_before_duplicates():
+    spec = OrbitSpec(modulus=4, step=2, k=2, bases=((0, 2),), expected_lines=5)
+    with pytest.raises(ConstructionError, match="^expected 5 lines, generated 2$"):
         expand_orbits(spec)
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentforge import catalog, core
-from pentforge.core import (DESIGN, Design, DesignError, ParseError, divisibility_ok,
-                            parameters, parse_design, read_records, records,
-                            serialize_design, verify_pls)
+from pentforge.core import (DESIGN, Design, DesignError, ParseError, VerificationReport,
+                            divisibility_ok, parameters, parse_design, read_records,
+                            records, serialize_design, verify_pls)
 from pentforge.search import design_from_cycle_type, pent2_enumerate
 
 
@@ -105,33 +105,52 @@ def test_serialize_empty_design_is_header_only():
 def test_verify_pls_two_disjoint_lines():
     d = Design.make(v=6, k=3, lines=[(0, 1, 2), (3, 4, 5)])
     rep = verify_pls(d)
-    assert rep.ok and rep.replication == (1,) * 6
+    assert rep == VerificationReport(ok=True, r=1, violations=())
+    assert d.incidence.replication == (1,) * 6
 
 
 def test_verify_pls_flags_double_covered_pair():
     d = Design.make(v=4, k=3, lines=[(0, 1, 2), (0, 1, 3)])
     rep = verify_pls(d)
-    assert not rep.is_pls
-    assert ("pair-covered-twice", (0, 1)) in rep.violations
+    assert not rep.ok
+    assert [w for code, w in rep.violations if code == "pair-covered-twice"] == [(0, 1)]
 
 
 def test_verify_pls_on_catalog_system(pent3_9_olp0):
     rep = verify_pls(pent3_9_olp0)
-    assert rep.ok
-    assert rep.replication == (9,) * 22
+    assert rep == VerificationReport(ok=True, r=9, violations=())
+    assert pent3_9_olp0.incidence.replication == (9,) * 22
 
 
 def test_verify_pls_irregular():
     d = Design.make(v=5, k=2, lines=[(0, 1), (0, 2)])
     rep = verify_pls(d)
-    assert not rep.is_regular
-    assert any(code == "irregular-point" for code, _ in rep.violations)
+    assert not rep.ok and rep.r is None
+    assert rep.violations == (("irregular-point", (0, 2)), ("irregular-point", (1, 1)),
+                              ("irregular-point", (2, 1)))
+
+
+def test_verify_pls_r_without_points_or_lines():
+    # No points: no common r.  Points but no lines: every point is on 0 lines.
+    assert verify_pls(Design.make(v=0, k=3, lines=[])) == VerificationReport(
+        ok=True, r=None, violations=())
+    assert verify_pls(Design.make(v=4, k=3, lines=[])) == VerificationReport(
+        ok=True, r=0, violations=())
 
 
 def test_replication_claim_checked():
     d = Design.make(v=6, k=3, lines=[(0, 1, 2), (3, 4, 5)], r_claimed=2)
     rep = verify_pls(d)
     assert ("replication-mismatch", (2, 1)) in rep.violations
+
+
+def test_replication_claim_needs_a_common_r():
+    # The same irregular design twice, its two-line point labelled 0, then 1.
+    reports = [verify_pls(Design.make(v=3, k=2, lines=lines, r_claimed=1))
+               for lines in ([(0, 1), (0, 2)], [(1, 0), (1, 2)])]
+    for rep in reports:
+        assert not rep.ok and rep.r is None
+        assert {code for code, _ in rep.violations} == {"irregular-point"}
 
 
 @pytest.mark.parametrize("k,r,v,b", [
@@ -169,7 +188,8 @@ def test_verify_order_invariance(pent3_9_olp1):
 
 def test_flag_double_count_identity(pent3_9_olp1):
     rep = verify_pls(pent3_9_olp1)
-    assert pent3_9_olp1.b * pent3_9_olp1.k == pent3_9_olp1.v * rep.replication[0]
+    assert rep.r is not None
+    assert pent3_9_olp1.b * pent3_9_olp1.k == pent3_9_olp1.v * rep.r
 
 
 # ---------------------------------------------------------------------------
