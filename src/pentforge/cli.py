@@ -72,7 +72,7 @@ def cmd_verify(args, out) -> int:
         print(f"violation: {code} {witness}", file=out)
     q = count_olps(design).q if report.ok else 0
     _machine(out, pentagonal=report.ok, v=design.v, b=design.b, k=design.k,
-             r=report.r if report.r is not None else "irregular",
+             r=report.r if report.r is not None else "irregular" if design.v else "none",
              olp_count=q)
     return EXIT_OK if report.ok else EXIT_INVALID
 

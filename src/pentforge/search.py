@@ -15,7 +15,7 @@ from .core import Design, parameters
 from .defgraph import Graph, build_deficiency, classify
 
 
-DONE = sys.maxsize  # the count of a covered pair in the completion search
+DONE = sys.maxsize  # the count of a covered pair when the counts are a list
 # The completion search's trunk runs alone for this many nodes; then probe
 # run i takes up to RESTART_UNIT * luby(i) nodes, and the trunk as many again.
 RESTART_UNIT = 2048
@@ -200,12 +200,21 @@ def _lines_through(adj: list[int], a: int, b: int, k: int) -> list[tuple[int, ..
     return [tuple(sorted((a, b) + rest)) for rest in _cliques(adj, adj[a] & adj[b], k - 2)]
 
 
+def _fewest(count: list[int] | bytearray, done: int) -> tuple[int, int]:
+    """min(count) and count.index of it, or (done, -1) when every pair is covered;
+    a bytearray is searched with find (memchr) for 0, 1, 2, ..., up to the first hit."""
+    if isinstance(count, bytearray):
+        return next(((c, at) for c in range(done) if (at := count.find(c)) >= 0), (done, -1))
+    least = min(count, default=done)
+    return least, count.index(least) if least != done else -1
+
+
 class _Cover:
     """An exact cover of pairs by k-cliques in progress: the graph of the
     uncovered pairs as one bitset per point (bit y of `adj[x]` is set when
     {x, y} is uncovered; all the `pairs` are at first) and, for each of the
     sorted `pairs`, its count of candidate lines (the k-cliques through it),
-    kept as lines come and go."""
+    kept as lines come and go: one byte each if they fit, `done` marking a covered pair."""
 
     def __init__(self, n: int, k: int, pairs: list[tuple[int, int]]):
         self.k = k
@@ -216,7 +225,7 @@ class _Cover:
             self.index[x][y] = self.index[y][x] = i
             self.adj[x] |= 1 << y
             self.adj[y] |= 1 << x
-        self.count = [DONE] * len(pairs)  # until count_candidates
+        self.count, self.done = [DONE] * len(pairs), DONE  # until count_candidates
         self.order: list[int] | range = range(n)  # the root's name of each point
 
     def count_candidates(self, check_clock: Callable[[], None]) -> None:
@@ -225,19 +234,22 @@ class _Cover:
         for i, (x, y) in enumerate(self.pairs):
             count[i] = _count_cliques(adj, adj[x] & adj[y], size)
             check_clock()
+        if max(count, default=0) < 255:  # no count ever rises above its root value
+            self.count, self.done = bytearray(count), 255
 
     def relabelled(self, order: list[int] | range) -> _Cover:
         """A copy of this counted root with each point renamed by its position in `order`."""
         rank = {p: i for i, p in enumerate(order)}
         copy = _Cover(len(order), self.k, sorted(tuple(sorted((rank[x], rank[y])))
                                                  for x, y in self.pairs))
-        copy.count = [self.count[self.index[order[a]][order[b]]] for a, b in copy.pairs]
-        copy.order = order
+        copy.count = type(self.count)(self.count[self.index[order[a]][order[b]]]
+                                      for a, b in copy.pairs)
+        copy.done, copy.order = self.done, order
         return copy
 
     def shift(self, a: int, b: int, step: int) -> int:
         """Add step to the count of every uncovered pair once for each clique it
-        shares with {a, b}; return the number of cliques through {a, b}."""
+        shares with {a, b}; return the mask of their common neighbours."""
         adj, count, index, size = self.adj, self.count, self.index, self.k - 2
         common = adj[a] & adj[b]
         ia, ib = index[a], index[b]
@@ -251,7 +263,7 @@ class _Cover:
                 count[ib[z]] += step
                 continue
             near = common & adj[z]  # the other points of the cliques through a, b, z
-            through = step * _count_cliques(adj, near, size - 1)
+            through = step * (near.bit_count() if size == 2 else _count_cliques(adj, near, size - 1))
             count[ia[z]] += through
             count[ib[z]] += through
             iz, later = index[z], pool & near
@@ -259,39 +271,37 @@ class _Cover:
                 low = later & -later
                 later ^= low
                 w = low.bit_length() - 1
-                count[iz[w]] += step * _count_cliques(adj, near & adj[w], size - 2)
-        return _count_cliques(adj, common, size)
+                count[iz[w]] += step if size == 2 else step * _count_cliques(
+                    adj, near & adj[w], size - 2)
+        return common
 
     def join(self, a: int, b: int) -> None:
         self.adj[a] |= 1 << b
         self.adj[b] |= 1 << a
-        self.count[self.index[a][b]] = self.shift(a, b, 1)
+        self.count[self.index[a][b]] = _count_cliques(self.adj, self.shift(a, b, 1), self.k - 2)
 
     def cover(self, line: tuple[int, ...]) -> None:
         for a, b in itertools.combinations(line, 2):
             self.shift(a, b, -1)
             self.adj[a] &= ~(1 << b)
             self.adj[b] &= ~(1 << a)
-            self.count[self.index[a][b]] = DONE
+            self.count[self.index[a][b]] = self.done
 
     def search(self) -> Generator[None, None, list[tuple[int, ...]] | None]:
         """Algorithm X on an explicit stack: each node branches on the pair with the
         fewest candidate lines, the first in sorted order on a tie, and tries its
         lines in lexicographic order.  Yields once per node, before expanding it;
         returns the first partition in the root's point names, or None."""
-        count = self.count
         chosen: list[tuple[int, ...]] = []
         frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
         while True:
-            fewest = min(count, default=DONE)
-            if fewest == DONE:
+            fewest, at = _fewest(self.count, self.done)
+            if at < 0:
                 return [tuple(sorted(self.order[z] for z in line)) for line in chosen]
             yield
-            lines: list[tuple[int, ...]] = []
-            if fewest:
-                lines = _lines_through(self.adj, *self.pairs[count.index(fewest)], self.k)
-                if len(lines) != fewest:
-                    raise RuntimeError("candidate count out of step with the uncovered pairs")
+            lines = _lines_through(self.adj, *self.pairs[at], self.k)
+            if len(lines) != fewest:
+                raise RuntimeError("candidate count out of step with the uncovered pairs")
             frames.append(iter(lines))
             while True:
                 if len(chosen) == len(frames):

@@ -39,6 +39,18 @@ def test_verify_invalid(tmp_path):
     assert "pentagonal: no" in out
 
 
+@pytest.mark.parametrize("text, r", [
+    ("v: 0\nk: 3\n", "none"),  # no points, so none can differ
+    ("v: 4\nk: 2\nline: 0 1\nline: 0 2\n", "irregular"),
+])
+def test_verify_names_why_there_is_no_r(tmp_path, text, r):
+    path = tmp_path / "x.design"
+    path.write_text(text)
+    code, out = invoke(["verify", str(path)])
+    assert code == 1
+    assert "pentagonal: no\n" in out and f"r: {r}\n" in out
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "bad.design"
     path.write_text("v: not-a-number\n")

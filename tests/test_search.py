@@ -417,7 +417,7 @@ def test_initial_counts_match_brute_force(name, seed):
     expected = [sum(all(w in nbr[z] for z, w in itertools.combinations(rest, 2))
                     for rest in itertools.combinations(sorted(nbr[a] & nbr[b]), d.k - 2))
                 for a, b in uncovered]
-    assert cover.count == expected
+    assert list(cover.count) == expected
 
 
 @settings(max_examples=10, deadline=None)
@@ -426,14 +426,26 @@ def test_counts_stay_in_step_as_lines_come_and_go(k, seed):
     # Cover random candidate lines among the pairs of 12 points, then take the
     # last few back as the search does: every count must equal a fresh count
     # over the pairs left uncovered.
-    rng = random.Random(seed)
-    n = 12
+    assert isinstance(check_counts_in_step(12, k, random.Random(seed)), bytearray)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seeds)
+def test_wide_counts_stay_in_step(seed):
+    # A pair of 26 points lies in C(24, 2) = 276 4-cliques, too many for a
+    # byte, so these counts are a list with DONE for a covered pair.
+    assert isinstance(check_counts_in_step(26, 4, random.Random(seed)), list)
+
+
+def check_counts_in_step(n: int, k: int, rng: random.Random) -> list[int] | bytearray:
+    """Cover and take back random lines of K_n as the search does, check every
+    count against a fresh count, and return the cover's counts."""
     pairs = list(itertools.combinations(range(n), 2))
     cover = search._Cover(n, k, pairs)
     cover.count_candidates(lambda: None)
     chosen = []
     for _ in range(3):
-        open_pairs = [p for i, p in enumerate(pairs) if cover.count[i] not in (0, search.DONE)]
+        open_pairs = [p for i, p in enumerate(pairs) if cover.count[i] not in (0, cover.done)]
         if not open_pairs:
             break
         line = rng.choice(search._lines_through(cover.adj, *rng.choice(open_pairs), k))
@@ -442,10 +454,11 @@ def test_counts_stay_in_step_as_lines_come_and_go(k, seed):
     for line in reversed(chosen[rng.randrange(len(chosen) + 1):]):
         for a, b in itertools.combinations(line, 2):
             cover.join(a, b)
-    uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != search.DONE]
+    uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != cover.done]
     fresh = search._Cover(n, k, uncovered)
     fresh.count_candidates(lambda: None)
-    assert [cover.count[cover.index[x][y]] for x, y in uncovered] == fresh.count
+    assert [cover.count[cover.index[x][y]] for x, y in uncovered] == list(fresh.count)
+    return cover.count
 
 
 @settings(max_examples=10, deadline=None)
@@ -523,6 +536,45 @@ def test_k4_initial_count_leaves_the_budget_to_the_nodes():
     budget = SearchBudget(max_nodes=1, max_seconds=10)
     with pytest.raises(BudgetExhausted, match=r"^node budget 1 exhausted \(1 nodes, 0 probe runs\)$"):
         complete_from_deficiency(g, k, r, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 300) | st.none(), max_size=40), st.booleans())
+def test_fewest_is_min_then_index(values, as_bytes):
+    # None stands for a covered pair; a byte count is below 255.
+    done = 255 if as_bytes else search.DONE
+    count = [done if x is None else x % 255 if as_bytes else x for x in values]
+    count = bytearray(count) if as_bytes else count
+    least = min(count, default=done)
+    expected = (least, count.index(least) if least != done else -1)
+    assert search._fewest(count, done) == expected
+
+
+@pytest.mark.parametrize("name, nodes", [("pent3_12", 11034), ("pent3_15", 2817)])
+def test_byte_counts_keep_the_node_count(name, nodes):
+    # The node counts of the search with list counts and min/index selection.
+    g, k, r = target(name)
+    with pytest.raises(BudgetExhausted, match=rf"^node budget {nodes - 1} exhausted"):
+        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes - 1))
+    assert complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes)) is not None
+
+
+@pytest.mark.parametrize("name, nodes, probes, width", [("pent4_20", 300, 0, list),
+                                                         ("pent4_13", 20000, 4, bytearray)])
+def test_k4_budget_messages(monkeypatch, name, nodes, probes, width):
+    # pent4_20's root counts reach 488, so they stay a list; pent4_13's reach 86.
+    widths = set()
+    fewest = search._fewest
+
+    def spy(count, done):
+        widths.add(type(count))
+        return fewest(count, done)
+    monkeypatch.setattr(search, "_fewest", spy)
+    g, k, r = target(name)
+    message = rf"^node budget {nodes} exhausted \({nodes} nodes, {probes} probe runs\)$"
+    with pytest.raises(BudgetExhausted, match=message):
+        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes))
+    assert widths == {width}
 
 
 def test_initial_count_runs_once_however_many_probes(monkeypatch):
