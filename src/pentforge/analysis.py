@@ -73,11 +73,15 @@ def verify_pentagonal(d: Design) -> VerificationReport:
 def count_olps(d: Design) -> OlpSet:
     """All mutual opposite line pairs, found two ways (definition and K_{k,k}
     components of the deficiency graph) which must agree.  The result keeps
-    the deficiency graph's classification as `classes`."""
+    the deficiency graph's classification as `classes`.
+
+    Each side of an OLP is the opposite set of every point on the other
+    side, so only the opposite sets that are lines are tried: O(v*k), not
+    O(b*k)."""
     incidence = d.incidence
     opposites = incidence.opposites
     pairs = set()
-    for line in d.lines:
+    for line in {opp for opp, i in zip(opposites, incidence.opposite_index) if i is not None}:
         opps = {opposites[x] for x in line}
         if len(opps) != 1:
             continue

@@ -116,9 +116,6 @@ class Quasigroup(_CheckedWhenBuilt):
     order: int
     table: tuple[tuple[int, ...], ...]
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def check(self) -> None:
         """Latin square, commutative and idempotent; raises on violation."""
         n = self.order
@@ -198,15 +195,27 @@ def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],
                 raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
 
 
-def _bose_triples(q: Quasigroup) -> list[tuple[int, ...]]:
-    """Triples of the Bose STS(3n) on Q x Z_3, point (x,i) encoded as i*n + x."""
+def _bose_triples(q: Quasigroup, a: int | None = None) -> list[tuple[int, ...]]:
+    """Triples of the Bose STS(3n) on Q x Z_3, each in rising order, point
+    (x,i) encoded as i*n + x.  The third point of {(x,i), (y,i), (x*y,i+1)},
+    x < y, lies above the pair in layers 0 and 1; in layer 2 it lies in
+    layer 0, below the pair.  With a drop point a, the triples through
+    (a,0), (a,1) or (a,2) are left out and (x,i) becomes i*(n-1) + x - (x > a)."""
     n = q.order
-    triples = [(x, n + x, 2 * n + x) for x in range(n)]
+    width = n if a is None else n - 1
+    shift = [x if a is None or x < a else x - 1 for x in range(n)]
+    at = [[i * width + s for s in shift] for i in range(3)]  # at[i][x]: label of (x,i)
+    triples = [(at[0][x], at[1][x], at[2][x]) for x in range(n) if x != a]
     for i in range(3):
-        for x in range(n):
-            for y in range(x + 1, n):
-                triples.append(tuple(sorted((i * n + x, i * n + y,
-                                             ((i + 1) % 3) * n + q.op(x, y)))))
+        low, high = at[i], at[(i + 1) % 3]
+        for x, row in enumerate(q.table):
+            if x == a:
+                continue
+            lx, rest = low[x], enumerate(row[x + 1:], x + 1)
+            if i < 2:
+                triples += [(lx, low[y], high[z]) for y, z in rest if y != a and z != a]
+            else:
+                triples += [(high[z], lx, low[y]) for y, z in rest if y != a and z != a]
     return triples
 
 
@@ -241,16 +250,8 @@ def steiner_quasigroup(s: Sts) -> Quasigroup:
 def _pent3_from_quasigroup(q: Quasigroup, a: int) -> Design:
     """Bose STS(3n) minus the three points (a,0), (a,1), (a,2) and every
     triple meeting them; remaining points are relabeled densely.  The STS
-    itself is not built: its triples are developed and filtered directly."""
-    n = q.order
-    dropped = {a, n + a, 2 * n + a}
-    relabel = {}
-    for old in range(3 * n):
-        if old not in dropped:
-            relabel[old] = len(relabel)
-    lines = [tuple(relabel[p] for p in t) for t in _bose_triples(q)
-             if not dropped & set(t)]
-    return Design.make(v=3 * n - 3, k=3, lines=lines)
+    itself is not built: its triples are developed without them."""
+    return Design.make(v=3 * q.order - 3, k=3, lines=_bose_triples(q, a))
 
 
 def bose_pent3(s: Sts, a: int) -> Design:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import array
 import errno
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice
 from operator import eq, itemgetter, lt
 from typing import Any, Callable, Iterable, Sequence
@@ -122,37 +123,37 @@ class Incidence:
     `deficiency` the deficiency graph once `defgraph.build_deficiency` made it.
 
     x is collinear with exactly the points on the r lines through it, so its
-    opposite set costs O(r*k) plus one set difference over the points (in a
-    PENT(k,r), v = rk - r + k + 1); a point met twice there shares two lines
-    with x.  The line equal to an opposite set passes through its first point,
-    so it is found in O(r).  No line or pair dictionary is kept: on PENT(3,199)
-    a line dictionary alone (1.3 MB) would nearly double the index.
+    collinear set is one C-level pass over those lines, and its opposite set
+    one set difference over the points (in a PENT(k,r), v = rk - r + k + 1).
+    Without a pair covered twice that set holds r*(k-1) + 1 points; only a
+    point with fewer has its lines counted point by point.  `Design.make`
+    keeps the lines sorted, so the line equal to an opposite set is found by
+    bisection in O(log b).  No line or pair dictionary is kept: on
+    PENT(3,199) a line dictionary alone (1.3 MB) would nearly double the
+    index.
     """
 
     def __init__(self, d: Design):
         lines = d.lines
-        through: list[list[int]] = [[] for _ in range(d.v)]
-        for i, line in enumerate(lines):
+        through: list[list[tuple[int, ...]]] = [[] for _ in range(d.v)]
+        for line in lines:
             for p in line:
-                through[p].append(i)
+                through[p].append(line)
         self.replication = tuple(map(len, through))
         everyone = set(range(d.v))
         opposites = []
         multi_covered = []
         for x, ls in enumerate(through):
-            met = [p for i in ls for p in lines[i]]
-            collinear = set(met)
+            collinear = set(chain.from_iterable(ls))
             collinear.add(x)
-            # Without a repeat, x is met once per line and every other point once.
-            if len(collinear) < len(met) - len(ls) + 1:
-                times = Counter(met)
+            if len(collinear) < len(ls) * (d.k - 1) + 1:
+                times = Counter(chain.from_iterable(ls))
                 multi_covered += [(x, y) for y in sorted(times) if y > x and times[y] > 1]
             opposites.append(tuple(sorted(everyone - collinear)))
         self.opposites = tuple(opposites)
         self.opposite_index = tuple(
-            next((i for i in through[opp[0]] if lines[i] == opp), None)
-            if opp else None
-            for opp in self.opposites)
+            i if i < len(lines) and lines[i] == opp else None
+            for opp, i in zip(opposites, map(partial(bisect_left, lines), opposites)))
         self.multi_covered = tuple(multi_covered)
         self.deficiency: Any = None
 

@@ -122,8 +122,8 @@ def is_connected(g: Graph) -> bool:
 
 def subgraph(g: Graph, vertices: tuple[int, ...]) -> Graph:
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[w]) for u, w in g.edges
-             if u in index and w in index]
+    edges = [(index[u], index[w]) for u in vertices for w in g.neighbors[u]
+             if u < w and w in index]
     return Graph.from_edges(len(vertices), edges)
 
 
