@@ -5,7 +5,6 @@ of pentagonal geometries over group divisible designs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .core import Design, DesignError, Schema, kind_is, point_set, points, read_file
@@ -149,8 +148,7 @@ class Sts(_CheckedWhenBuilt):
     def check(self) -> None:
         if self.v % 6 not in (1, 3):
             raise ConstructionError(f"STS order must be 1 or 3 (mod 6), got {self.v}")
-        _check_triples(self.triples, what="STS")
-        _check_exact_pair_cover(self.v, self.triples, what="STS")
+        _check_cover("STS", self.v, 3, self.triples)
 
 
 @dataclass(frozen=True)
@@ -165,34 +163,38 @@ class Pbd(_CheckedWhenBuilt):
             raise ConstructionError("distinguished block must have 5 distinct points")
         if self.v % 6 != 5:
             raise ConstructionError(f"PBD order must be 5 (mod 6), got {self.v}")
-        _check_triples(self.triples, what="PBD")
-        blocks = self.triples + (tuple(sorted(self.distinguished)),)
-        _check_exact_pair_cover(self.v, blocks, what="PBD")
+        _check_cover("PBD", self.v, 3, self.triples, (tuple(sorted(self.distinguished)),))
 
 
-def _check_triples(blocks: Sequence[tuple[int, ...]], what: str) -> None:
+def _check_cover(what: str, v: int, k: int, blocks: Sequence[tuple[int, ...]],
+                 groups: Sequence[tuple[int, ...]] = (), size: str = "a triple") -> None:
+    """Raise unless the k-point blocks and the groups cover each pair of 0..v-1
+    once: iff the blocks' incidence index has no pair covered twice and each
+    point's opposite set is the rest of its group.  Names the least pair covered
+    twice (by two blocks, or a block inside a group), else the least uncovered.
+    Points above the greatest given one lie on no block; the index keeps one."""
     for block in blocks:
-        if len(block) != 3:
-            raise ConstructionError(f"{what}: block {block} is not a triple")
-
-
-def _check_exact_pair_cover(v: int, blocks: Sequence[tuple[int, ...]],
-                            what: str) -> None:
-    covered: set[int] = set()  # pair x < y as x * v + y
-    for block in blocks:
-        if (not block or len(set(block)) != len(block) or min(block) < 0
-                or max(block) >= v):
+        if len(block) != k:
+            raise ConstructionError(f"{what}: block {block} is not {size}")
+    given = [*groups, *blocks]
+    for block in given:
+        if not block or len(set(block)) != len(block) or min(block) < 0 or max(block) >= v:
             raise ConstructionError(f"{what}: bad block {block}")
-        for x, y in combinations(block, 2):
-            pair = x * v + y if x < y else y * v + x
-            if pair in covered:
-                raise ConstructionError(f"{what}: pair ({x},{y}) covered twice")
-            covered.add(pair)
-    # Ends within len(covered) + 1 pairs: the work is bounded by the blocks, not by v.
-    for x in range(v):
-        for y in range(x + 1, v):
-            if x * v + y not in covered:
-                raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
+    try:
+        n = min(v, max(map(max, given), default=0) + 2)
+        incidence = Design.make(n, k, blocks, kind="raw").incidence
+    except DesignError as exc:
+        raise ConstructionError(f"{what}: {exc}") from None
+    group = {x: g for g in map(set, groups) for x in g}
+    doubled, uncovered = list(incidence.multi_covered), []
+    for x, opp in enumerate(incidence.opposites):
+        mates = group.get(x, set())
+        doubled += [(x, y) for y in mates.difference(opp) if y > x]
+        uncovered += [(x, y) for y in opp if y > x and y not in mates]
+    if doubled or uncovered:
+        x, y = min(doubled or uncovered)
+        raise ConstructionError(
+            f"{what}: pair ({x},{y}) {'covered twice' if doubled else 'uncovered'}")
 
 
 def _bose_triples(q: Quasigroup, a: int | None = None) -> list[tuple[int, ...]]:
@@ -293,11 +295,7 @@ class Gdd(_CheckedWhenBuilt):
         seen = sorted(p for g in self.groups for p in g)
         if len(seen) != self.v or seen != list(range(self.v)):
             raise ConstructionError("groups do not partition the point set")
-        for block in self.blocks:
-            if len(block) != self.k:
-                raise ConstructionError(f"block {block} is not a {self.k}-set")
-        # Exact cover of groups plus blocks also means no block meets a group twice.
-        _check_exact_pair_cover(self.v, self.groups + self.blocks, what="GDD")
+        _check_cover("GDD", self.v, self.k, self.blocks, self.groups, f"a {self.k}-set")
 
 
 def td3(g: int) -> Gdd:

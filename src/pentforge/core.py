@@ -159,7 +159,8 @@ class Incidence:
 
 
 class PairCoverage:
-    """Dense triangular array of per-pair line counts."""
+    """Dense triangular array of per-pair line counts.  Kept only for the
+    TRACED entry of bench/tracing.py, and removed together with it."""
 
     def __init__(self, v: int):
         self.v = v

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pentforge import catalog
@@ -57,6 +59,65 @@ def test_verify_pentagonal_broken_by_deleting_a_line(pent3_9_olp0):
     d = Design.make(v=22, k=3, lines=pent3_9_olp0.lines[1:])
     rep = verify_pentagonal(d)
     assert not rep.ok
+
+
+def assert_witnesses_hold(d: Design) -> None:
+    """Each violation that `verify_pentagonal` reports, checked by brute force
+    against the lines themselves."""
+    rep = verify_pentagonal(d)
+    assert not rep.ok and rep.violations
+    for code, witness in rep.violations:
+        if code == "pair-covered-twice":
+            x, y = witness
+            assert x < y and sum(x in line and y in line for line in d.lines) >= 2
+        elif code == "irregular-point":
+            p, n = witness
+            assert sum(p in line for line in d.lines) == n
+        elif code == "opposite-not-a-line":
+            x, opp = witness
+            collinear = {p for line in d.lines if x in line for p in line} | {x}
+            assert opp == tuple(p for p in range(d.v) if p not in collinear)
+            assert opp not in d.lines
+        elif code == "count-mismatch":
+            assert witness == (d.v, d.b, *parameters(d.k, rep.r))
+        else:
+            assert (code, witness) == ("replication-mismatch", (d.r_claimed, rep.r))
+
+
+def one_line_changed(d: Design, seed: int) -> Design:
+    """`d` with one point of one line replaced by a point off that line."""
+    rng = random.Random(seed)
+    while True:
+        i = rng.randrange(d.b)
+        line = d.lines[i]
+        new = tuple(sorted(set(line) - {rng.choice(line)}
+                           | {rng.choice([p for p in range(d.v) if p not in line])}))
+        if new not in d.lines:
+            return Design.make(v=d.v, k=d.k, lines=d.lines[:i] + (new,) + d.lines[i + 1:],
+                               r_claimed=d.r_claimed)
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.catalog_entries()])
+def test_every_witness_of_a_one_line_mutant_holds(entry_id):
+    d = catalog.catalog_load(entry_id)
+    for seed in range(2):
+        assert_witnesses_hold(one_line_changed(d, seed))
+
+
+FANO = [(0, 1, 3), (0, 2, 6), (0, 4, 5), (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6)]
+
+
+@pytest.mark.parametrize("v,lines,r,codes", [
+    (7, FANO, None, {"count-mismatch", "opposite-not-a-line"}),
+    (9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], None, {"count-mismatch", "opposite-not-a-line"}),
+    (7, FANO, 2, {"count-mismatch", "replication-mismatch"}),
+], ids=["fano-plane", "three-parallel-lines", "fano-plane-claimed-r2"])
+def test_every_witness_of_a_regular_space_holds(v, lines, r, codes):
+    """Regular partial linear spaces that are not pentagonal: r forces other
+    counts, and their opposite sets are not lines."""
+    d = Design.make(v=v, k=3, lines=lines, r_claimed=r)
+    assert {code for code, _ in verify_pentagonal(d).violations} == codes
+    assert_witnesses_hold(d)
 
 
 def test_degenerate_pent_is_pentagonal():

@@ -431,6 +431,12 @@ def test_ingredient_of_huge_order_exits_4(tmp_path, command, text):
     assert code == 4 and out.startswith("error: "), out
 
 
+def test_sts_of_negative_order_exits_4(tmp_path):
+    sts = _write(tmp_path, "s.sts", "v: -5\n")
+    code, out = invoke(["build", "bose", "--drop", "0", "--sts", sts])
+    assert (code, out) == (4, "error: STS: bad parameters v=-5, k=3\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("v: 6\nk: 3\nline: 0 1 2\nline: 3 4 5\n# comment\nline: 2 1 0\n",
      "line 6: duplicate line (0, 1, 2)"),

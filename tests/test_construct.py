@@ -126,6 +126,19 @@ def test_sts_invariant_rejects_missing_pair():
         Sts(v=7, triples=((0, 1, 3),))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Sts(v=3, triples=()), "STS: pair (0,1) uncovered"),
+    (lambda: Sts(v=9, triples=((0, 1, 2),)), "STS: pair (0,3) uncovered"),
+    (lambda: Pbd(v=11, distinguished=(0, 1, 2, 3, 4), triples=()), "PBD: pair (0,5) uncovered"),
+], ids=["sts-no-triples", "sts-one-triple", "pbd-no-triples"])
+def test_ingredient_short_of_its_order_names_a_pair_with_a_point_on_no_block(build, message):
+    """The points above every given one are on no block; the least uncovered
+    pair pairs 0 with the least of them."""
+    with pytest.raises(ConstructionError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_bundled_sts_files():
     assert len(catalog.support_sts("sts7").triples) == 7
     assert len(catalog.support_sts("sts13").triples) == 26

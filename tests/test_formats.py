@@ -157,11 +157,13 @@ def test_rejected_record_is_named(parse, text, message):
      ParseError, "line 5: a point label has a residue outside 0..4"),
     (parse_sts, "kind: sts\nv: 7\ntriple: 0 1 2\ntriple: 0 1 3\n",
      ConstructionError, "STS: pair (0,1) covered twice"),
+    (parse_sts, "v: -5\n", ConstructionError, "STS: bad parameters v=-5, k=3"),
     (parse_pbd, "kind: pbd\nv: 11\ndistinguished: 0 1 2 3 4\ntriple: 0 1 5\n",
      ConstructionError, "PBD: pair (0,1) covered twice"),
     (parse_gdd, "kind: gdd\nv: 4\nk: 2\ngroup: 0 1\ngroup: 2 3\nblock: 0 2\nblock: 0 3\n"
      "block: 1 2\n", ConstructionError, "GDD: pair (1,3) uncovered"),
-], ids=["design", "graph", "orbit", "forbit", "sts", "pbd", "gdd"])
+], ids=["design", "graph", "orbit", "forbit", "sts", "sts-negative-order", "pbd",
+        "gdd"])
 def test_every_reader_rejects_with_its_error(parse, text, error, message):
     # A rejected record is a ParseError naming its line; an ingredient that
     # fails its own check keeps its ConstructionError, which names no record.

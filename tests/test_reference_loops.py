@@ -1,12 +1,13 @@
-"""The Bose developer, the incidence index, the OLP count and `subgraph`
-against the plain loops they replaced.
+"""The Bose developer, the incidence index, the OLP count, `subgraph` and
+the ingredients' pair-cover check against the plain loops they replaced.
 
-Each reference below is the earlier, slower implementation, kept here only
-to pin the faster one to the same output: the incidence index that counted
-every point of every line through a point and scanned those lines for the
+Each reference below is the earlier implementation, kept here only to pin
+its replacement to the same output: the incidence index that counted every
+point of every line through a point and scanned those lines for the
 opposite line, the OLP count that walked all b lines, the Bose developer
-that sorted each triple and relabelled through a dictionary, and the
-subgraph that scanned every edge of the whole graph.
+that sorted each triple and relabelled through a dictionary, the subgraph
+that scanned every edge of the whole graph, and the exact pair-cover check
+that kept its own pair set and walked all v(v-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentforge import catalog, defgraph
 from pentforge.analysis import count_olps
-from pentforge.construct import (Pbd, Quasigroup, Sts, bose_pent3, bose_sts,
-                                 cyclic_idempotent_quasigroup, pbd_pent3,
-                                 steiner_quasigroup, sts_bose)
+from pentforge.construct import (ConstructionError, Gdd, Pbd, Quasigroup, Sts, bose_pent3,
+                                 bose_sts, cyclic_idempotent_quasigroup, pbd_pent3,
+                                 steiner_quasigroup, sts_bose, td3)
 from pentforge.core import Design
 
 FIELDS = ("replication", "opposites", "opposite_index", "multi_covered")
@@ -112,6 +114,23 @@ def ref_subgraph(g: defgraph.Graph, vertices: tuple[int, ...]) -> defgraph.Graph
     index = {v: i for i, v in enumerate(vertices)}
     edges = [(index[u], index[w]) for u, w in g.edges if u in index and w in index]
     return defgraph.Graph.from_edges(len(vertices), edges)
+
+
+def ref_check_exact_pair_cover(v: int, blocks, what: str) -> None:
+    covered: set[int] = set()  # pair x < y as x * v + y
+    for block in blocks:
+        if (not block or len(set(block)) != len(block) or min(block) < 0
+                or max(block) >= v):
+            raise ConstructionError(f"{what}: bad block {block}")
+        for x, y in combinations(block, 2):
+            pair = x * v + y if x < y else y * v + x
+            if pair in covered:
+                raise ConstructionError(f"{what}: pair ({x},{y}) covered twice")
+            covered.add(pair)
+    for x in range(v):
+        for y in range(x + 1, v):
+            if x * v + y not in covered:
+                raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +284,66 @@ def test_subgraph_matches_reference(entry_id):
         comps = defgraph.components(g)
         for comp in comps + [tuple(range(0, g.n, 2))]:
             assert defgraph.subgraph(g, comp) == ref_subgraph(g, comp)
+
+
+# ---------------------------------------------------------------------------
+# Ingredient pair cover
+
+PBD11 = catalog.support_pbd("pbd11")
+TD35 = td3(5)
+# name -> (what, v, the blocks that vary, the blocks the reference also covers, builder)
+INGREDIENTS = {
+    "sts_bose(21)": ("STS", 21, sts_bose(21).triples, (), lambda b: Sts(v=21, triples=b)),
+    "pbd11": ("PBD", PBD11.v, PBD11.triples, (tuple(sorted(PBD11.distinguished)),),
+              lambda b: Pbd(v=PBD11.v, distinguished=PBD11.distinguished, triples=b)),
+    "td3(5)": ("GDD", TD35.v, TD35.blocks, TD35.groups,
+               lambda b: Gdd(v=TD35.v, k=TD35.k, groups=TD35.groups, blocks=b)),
+}
+
+
+def mutant(blocks: tuple, v: int, how: str, seed: int) -> tuple:
+    rng = random.Random(seed)
+    i = rng.randrange(len(blocks))
+    block = blocks[i]
+    if how == "point-moved":
+        moved = tuple(sorted(set(block) - {rng.choice(block)}
+                             | {rng.choice([p for p in range(v) if p not in block])}))
+        return blocks[:i] + (moved,) + blocks[i + 1:]
+    if how == "block-dropped":
+        return blocks[:i] + blocks[i + 1:]
+    return blocks[:i] + (block,) + blocks[i:]  # block-repeated
+
+
+def least_fault(v: int, blocks) -> str:
+    """The least pair that the blocks cover twice, else the least uncovered."""
+    times = Counter(pair for block in blocks for pair in combinations(sorted(block), 2))
+    doubled = [pair for pair, n in times.items() if n > 1]
+    if doubled:
+        return "pair ({},{}) covered twice".format(*min(doubled))
+    return "pair ({},{}) uncovered".format(*next(
+        (x, y) for x in range(v) for y in range(x + 1, v) if (x, y) not in times))
+
+
+@pytest.mark.parametrize("name", INGREDIENTS)
+def test_pair_cover_accepts_what_the_reference_accepts(name):
+    what, v, blocks, fixed, build = INGREDIENTS[name]
+    ref_check_exact_pair_cover(v, fixed + blocks, what)
+    build(blocks)
+
+
+@pytest.mark.parametrize("how", ["point-moved", "block-dropped", "block-repeated"])
+@pytest.mark.parametrize("name", INGREDIENTS)
+def test_pair_cover_rejects_what_the_reference_rejects(name, how):
+    what, v, blocks, fixed, build = INGREDIENTS[name]
+    for seed in range(6):
+        bad = mutant(blocks, v, how, seed)
+        with pytest.raises(ConstructionError):
+            ref_check_exact_pair_cover(v, fixed + bad, what)
+        with pytest.raises(ConstructionError) as info:
+            build(bad)
+        assert type(info.value) is ConstructionError
+        if how == "block-repeated":
+            repeated = [b for b in bad if bad.count(b) > 1][0]
+            assert str(info.value) == f"{what}: duplicate line {repeated}", seed
+        else:
+            assert str(info.value) == f"{what}: {least_fault(v, fixed + bad)}", seed
