@@ -4,7 +4,9 @@ of pentagonal geometries over group divisible designs."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .core import Design, DesignError, Schema, kind_is, point_set, points, read_file
@@ -169,32 +171,37 @@ class Pbd(_CheckedWhenBuilt):
 def _check_cover(what: str, v: int, k: int, blocks: Sequence[tuple[int, ...]],
                  groups: Sequence[tuple[int, ...]] = (), size: str = "a triple") -> None:
     """Raise unless the k-point blocks and the groups cover each pair of 0..v-1
-    once: iff the blocks' incidence index has no pair covered twice and each
-    point's opposite set is the rest of its group.  Names the least pair covered
-    twice (by two blocks, or a block inside a group), else the least uncovered.
-    Points above the greatest given one lie on no block; the index keeps one."""
+    once.  If they hold v(v-1)/2 pairs in all, the cover is exact iff the blocks'
+    incidence index has no pair covered twice and each point's opposite set is
+    the rest of its group.  The error names the least pair covered twice (by two
+    blocks, or a block inside a group), else the least uncovered, found in time
+    and memory bounded by the pairs given, not by v."""
     for block in blocks:
         if len(block) != k:
             raise ConstructionError(f"{what}: block {block} is not {size}")
-    given = [*groups, *blocks]
-    for block in given:
+    for block in (*groups, *blocks):
         if not block or len(set(block)) != len(block) or min(block) < 0 or max(block) >= v:
             raise ConstructionError(f"{what}: bad block {block}")
     try:
-        n = min(v, max(map(max, given), default=0) + 2)
-        incidence = Design.make(n, k, blocks, kind="raw").incidence
+        d = Design.make(v, k, blocks, kind="raw")
     except DesignError as exc:
         raise ConstructionError(f"{what}: {exc}") from None
-    group = {x: g for g in map(set, groups) for x in g}
-    doubled, uncovered = list(incidence.multi_covered), []
-    for x, opp in enumerate(incidence.opposites):
-        mates = group.get(x, set())
-        doubled += [(x, y) for y in mates.difference(opp) if y > x]
-        uncovered += [(x, y) for y in opp if y > x and y not in mates]
-    if doubled or uncovered:
-        x, y = min(doubled or uncovered)
-        raise ConstructionError(
-            f"{what}: pair ({x},{y}) {'covered twice' if doubled else 'uncovered'}")
+    group_of = {x: g for g in map(frozenset, groups) for x in g}
+    held = k * (k - 1) * len(blocks) + sum(len(g) * (len(g) - 1) for g in groups)
+    if held == v * (v - 1) and not d.incidence.multi_covered and all(  # v*v is now bounded by the pairs given
+            set(opp) == group_of.get(x, {x}) - {x} for x, opp in enumerate(d.incidence.opposites)):
+        return
+    pairs = Counter((x, y) for line in d.lines for i, x in enumerate(line) for y in line[i + 1:])
+    doubled = [(x, y) for (x, y), n in pairs.items() if n > 1 or y in group_of.get(x, ())]
+    if doubled:
+        raise ConstructionError("{}: pair ({},{}) covered twice".format(what, *min(doubled)))
+    above = Counter(x for x, _ in pairs)  # covered pairs (x, y) with y > x, by x
+    above.update({x: len(g) - 1 - i for g in map(sorted, groups) for i, x in enumerate(g)})
+    # Each full row below x holds a pair given, so this walk ends within the input.
+    x = next(x for x in count() if above[x] < v - 1 - x)
+    near = {y for w, y in pairs if w == x} | group_of.get(x, set())
+    y = next(y for y in count(x + 1) if y not in near)
+    raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
 
 
 def _bose_triples(q: Quasigroup, a: int | None = None) -> list[tuple[int, ...]]:

@@ -166,21 +166,13 @@ class PairCoverage:
         self.v = v
         self._counts = array.array("H", bytes(2 * (v * (v - 1) // 2)))
 
-    def _index(self, x: int, y: int) -> int:
-        if x > y:
-            x, y = y, x
-        return x * (2 * self.v - x - 1) // 2 + (y - x - 1)
-
-    def add(self, x: int, y: int) -> None:
-        self._counts[self._index(x, y)] += 1
-
     @classmethod
     def of(cls, d: Design) -> "PairCoverage":
         cov = cls(d.v)
-        for line in d.lines:
-            for i in range(len(line)):
-                for j in range(i + 1, len(line)):
-                    cov.add(line[i], line[j])
+        for line in d.lines:  # sorted, so x < y: pair (x, y) at its row-major index
+            for i, x in enumerate(line):
+                for y in line[i + 1:]:
+                    cov._counts[x * (2 * d.v - x - 1) // 2 + y - x - 1] += 1
         return cov
 
 

@@ -424,17 +424,16 @@ def test_verify_all_reports_a_payload_it_cannot_load_and_goes_on(tmp_path, monke
      "kind: pbd\nv: 1000000000000000000000000000001\ndistinguished: 0 1 2 3 4\n"),
     (["compose", "--part", "p.design", "--gdd"],
      "kind: gdd\nv: 1000000000000000000000000000000\nk: 3\ngroup: 0 1 2\n"),
-], ids=["sts", "pbd", "gdd"])
+    (["build", "bose", "--drop", "0", "--sts"],
+     "kind: sts\nv: 1000000000000000000000000000003\ntriple: 0 1 1000000\n"),
+    (["compose", "--part", "p.design", "--gdd"],
+     "kind: gdd\nv: 20000\nk: 3\n" + "".join(f"group: {x}\n" for x in range(20000))),
+    (["build", "bose", "--drop", "0", "--sts"], "v: -5\n"),
+], ids=["sts", "pbd", "gdd", "sts-far-label", "gdd-singletons", "sts-negative"])
 def test_ingredient_of_huge_order_exits_4(tmp_path, command, text):
     """The pair cover check needs memory for the blocks given, not for v."""
     code, out = invoke(command + [_write(tmp_path, "huge", text)])
     assert code == 4 and out.startswith("error: "), out
-
-
-def test_sts_of_negative_order_exits_4(tmp_path):
-    sts = _write(tmp_path, "s.sts", "v: -5\n")
-    code, out = invoke(["build", "bose", "--drop", "0", "--sts", sts])
-    assert (code, out) == (4, "error: STS: bad parameters v=-5, k=3\n")
 
 
 @pytest.mark.parametrize("text,message", [

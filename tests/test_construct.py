@@ -211,8 +211,12 @@ def test_pbd_invariant_rejects_double_cover():
     (lambda: Gdd(v=6, k=3, groups=((0, 1), (2, 3), (4, 5)), blocks=((0, 1, 2),)),
      "covered twice"),
     (lambda: Gdd(v=4, k=2, groups=((0, 1), (2,)), blocks=()), "partition"),
+    # The pairs add up to v(v-1)/2 and no two blocks share one: only the
+    # opposite sets show the blocks that lie inside groups.
+    (lambda: Gdd(v=4, k=2, groups=((0, 1), (2, 3)), blocks=((0, 1), (0, 2), (1, 3), (2, 3))),
+     r"^GDD: pair \(0,1\) covered twice$"),
 ], ids=["quasigroup-not-latin", "quasigroup-not-idempotent", "gdd-pair-twice",
-        "gdd-groups-not-a-partition"])
+        "gdd-groups-not-a-partition", "gdd-block-in-group-at-full-count"])
 def test_invalid_quasigroup_and_gdd_rejected_when_built(build, match):
     with pytest.raises(ConstructionError, match=match):
         build()

@@ -311,6 +311,11 @@ def mutant(blocks: tuple, v: int, how: str, seed: int) -> tuple:
         return blocks[:i] + (moved,) + blocks[i + 1:]
     if how == "block-dropped":
         return blocks[:i] + blocks[i + 1:]
+    if how == "block-added":  # more pairs than v(v-1)/2, some covered twice
+        extra = block
+        while extra in blocks:
+            extra = tuple(sorted(rng.sample(range(v), len(block))))
+        return blocks + (extra,)
     return blocks[:i] + (block,) + blocks[i:]  # block-repeated
 
 
@@ -331,7 +336,8 @@ def test_pair_cover_accepts_what_the_reference_accepts(name):
     build(blocks)
 
 
-@pytest.mark.parametrize("how", ["point-moved", "block-dropped", "block-repeated"])
+@pytest.mark.parametrize("how", ["point-moved", "block-dropped", "block-added",
+                                 "block-repeated"])
 @pytest.mark.parametrize("name", INGREDIENTS)
 def test_pair_cover_rejects_what_the_reference_rejects(name, how):
     what, v, blocks, fixed, build = INGREDIENTS[name]
