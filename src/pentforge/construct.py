@@ -188,7 +188,7 @@ def _check_cover(what: str, v: int, k: int, blocks: Sequence[tuple[int, ...]],
         raise ConstructionError(f"{what}: {exc}") from None
     group_of = {x: g for g in map(frozenset, groups) for x in g}
     held = k * (k - 1) * len(blocks) + sum(len(g) * (len(g) - 1) for g in groups)
-    if held == v * (v - 1) and not d.incidence.multi_covered and all(  # v*v is now bounded by the pairs given
+    if held == v * (v - 1) and not d.incidence.multi_covered and all(  # v bounded by held
             set(opp) == group_of.get(x, {x}) - {x} for x, opp in enumerate(d.incidence.opposites)):
         return
     pairs = Counter((x, y) for line in d.lines for i, x in enumerate(line) for y in line[i + 1:])
