@@ -175,16 +175,21 @@ def _check_cover(what: str, v: int, k: int, blocks: Sequence[tuple[int, ...]],
     incidence index has no pair covered twice and each point's opposite set is
     the rest of its group.  The error names the least pair covered twice (by two
     blocks, or a block inside a group), else the least uncovered, found in time
-    and memory bounded by the pairs given, not by v."""
+    and memory bounded by the pairs given, not by v.  `Design.make` rejects
+    every bad block in C, so the blocks are searched for one only once it has."""
     for block in blocks:
         if len(block) != k:
             raise ConstructionError(f"{what}: block {block} is not {size}")
-    for block in (*groups, *blocks):
-        if not block or len(set(block)) != len(block) or min(block) < 0 or max(block) >= v:
-            raise ConstructionError(f"{what}: bad block {block}")
+
+    def reject_bad(blocks: Sequence[tuple[int, ...]]) -> None:
+        for block in blocks:
+            if not block or len(set(block)) != len(block) or min(block) < 0 or max(block) >= v:
+                raise ConstructionError(f"{what}: bad block {block}")
+    reject_bad(groups)
     try:
         d = Design.make(v, k, blocks, kind="raw")
     except DesignError as exc:
+        reject_bad(blocks)
         raise ConstructionError(f"{what}: {exc}") from None
     group_of = {x: g for g in map(frozenset, groups) for x in g}
     held = k * (k - 1) * len(blocks) + sum(len(g) * (len(g) - 1) for g in groups)

@@ -192,17 +192,19 @@ def verify_pls(d: Design) -> VerificationReport:
 
     Violations are report content, never exceptions; each carries a witness.
     A pair that several lines cover gives one `pair-covered-twice`, in (x, y)
-    order.  A claimed r is compared only with a common r, so no verdict
-    depends on how the points are labelled.  Reads the design's incidence
-    index, building it if need be.
+    order.  A point is an `irregular-point` when its line count differs from
+    the most common count (the least of them on a tie), so a line with one
+    point moved names only the two points whose count changed.  A claimed r
+    is compared only with a common r, so no verdict depends on how the points
+    are labelled.  Reads the design's incidence index, building it if need be.
     """
     incidence = d.incidence
     violations = [("pair-covered-twice", pair) for pair in incidence.multi_covered]
     repl = incidence.replication
-    low = min(repl, default=None)
-    irregular = [("irregular-point", (p, n)) for p, n in enumerate(repl) if n != low]
+    usual = max(sorted(Counter(repl).items()), key=itemgetter(1), default=(None,))[0]
+    irregular = [("irregular-point", (p, n)) for p, n in enumerate(repl) if n != usual]
     violations += irregular
-    r = None if irregular else low
+    r = None if irregular else usual
     if r is not None and d.r_claimed not in (None, r):
         violations.append(("replication-mismatch", (d.r_claimed, r)))
     return VerificationReport(ok=not violations, r=r, violations=tuple(violations))

@@ -37,13 +37,16 @@ class Graph:
             if not (0 <= u < n and 0 <= w < n):
                 raise DesignError(f"edge ({u},{w}) out of range for n={n}", where=i)
             seen.add((min(u, w), max(u, w)))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
+        # Only the endpoints of edges get a list; the other vertices share the
+        # one empty tuple, so a large n with few edges costs n references.
+        nbrs: dict[int, list[int]] = {}
         for u, w in seen:
-            nbrs[u].append(w)
-            nbrs[w].append(u)
-        return cls(n=n,
-                   edges=tuple(sorted(seen)),
-                   neighbors=tuple(tuple(sorted(ns)) for ns in nbrs))
+            nbrs.setdefault(u, []).append(w)
+            nbrs.setdefault(w, []).append(u)
+        neighbors: list[tuple[int, ...]] = [()] * n
+        for u, ns in nbrs.items():
+            neighbors[u] = tuple(sorted(ns))
+        return cls(n=n, edges=tuple(sorted(seen)), neighbors=tuple(neighbors))
 
     def is_regular(self, k: int) -> bool:
         return set(map(len, self.neighbors)) <= {k}

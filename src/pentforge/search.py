@@ -196,17 +196,9 @@ def _count_cliques(adj: list[int], pool: int, size: int) -> int:
 
 def _lines_through(adj: list[int], a: int, b: int, k: int) -> list[tuple[int, ...]]:
     """The candidate lines for the pair {a, b}: the k-cliques through it in the
-    bitset graph `adj` of uncovered pairs, as sorted tuples in lexicographic order."""
-    return [tuple(sorted((a, b) + rest)) for rest in _cliques(adj, adj[a] & adj[b], k - 2)]
-
-
-def _fewest(count: list[int] | bytearray, done: int) -> tuple[int, int]:
-    """min(count) and count.index of it, or (done, -1) when every pair is covered;
-    a bytearray is searched with find (memchr) for 0, 1, 2, ..., up to the first hit."""
-    if isinstance(count, bytearray):
-        return next(((c, at) for c in range(done) if (at := count.find(c)) >= 0), (done, -1))
-    least = min(count, default=done)
-    return least, count.index(least) if least != done else -1
+    bitset graph `adj` of uncovered pairs, each as (a, b) and then its other
+    points, in the lexicographic order of the sorted lines."""
+    return [(a, b) + rest for rest in _cliques(adj, adj[a] & adj[b], k - 2)]
 
 
 class _Cover:
@@ -214,7 +206,8 @@ class _Cover:
     uncovered pairs as one bitset per point (bit y of `adj[x]` is set when
     {x, y} is uncovered; all the `pairs` are at first) and, for each of the
     sorted `pairs`, its count of candidate lines (the k-cliques through it),
-    kept as lines come and go: one byte each if they fit, `done` marking a covered pair."""
+    kept by `toggle` as lines come and go: one byte each if they fit, `done`
+    marking a covered pair."""
 
     def __init__(self, n: int, k: int, pairs: list[tuple[int, int]]):
         self.k = k
@@ -247,73 +240,80 @@ class _Cover:
         copy.done, copy.order = self.done, order
         return copy
 
-    def shift(self, a: int, b: int, step: int) -> int:
-        """Add step to the count of every uncovered pair once for each clique it
-        shares with {a, b}; return the mask of their common neighbours."""
+    def toggle(self, line: tuple[int, ...], step: int) -> None:
+        """Cover the pairs of `line` (step -1) or put them back (step +1), one
+        pair {a, b} at a time: the count of every other pair on a k-clique
+        through {a, b} moves by step once per such clique, and {a, b} is marked
+        done or recounted.  Those cliques are found among the common neighbours
+        of a and b, which the bit of {a, b} does not change, so it flips first.
+        Each clique moves once, on its first pair to go or its last to come back."""
         adj, count, index, size = self.adj, self.count, self.index, self.k - 2
-        common = adj[a] & adj[b]
-        ia, ib = index[a], index[b]
-        pool = common if size else 0  # for k = 2 the pair is the whole line
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            z = low.bit_length() - 1
-            if size == 1:  # k = 3: the one line {a, b, z}
-                count[ia[z]] += step
-                count[ib[z]] += step
-                continue
-            near = common & adj[z]  # the other points of the cliques through a, b, z
-            through = step * (near.bit_count() if size == 2 else _count_cliques(adj, near, size - 1))
-            count[ia[z]] += through
-            count[ib[z]] += through
-            iz, later = index[z], pool & near
-            while later:
-                low = later & -later
-                later ^= low
-                w = low.bit_length() - 1
-                count[iz[w]] += step if size == 2 else step * _count_cliques(
-                    adj, near & adj[w], size - 2)
-        return common
-
-    def join(self, a: int, b: int) -> None:
-        self.adj[a] |= 1 << b
-        self.adj[b] |= 1 << a
-        self.count[self.index[a][b]] = _count_cliques(self.adj, self.shift(a, b, 1), self.k - 2)
-
-    def cover(self, line: tuple[int, ...]) -> None:
         for a, b in itertools.combinations(line, 2):
-            self.shift(a, b, -1)
-            self.adj[a] &= ~(1 << b)
-            self.adj[b] &= ~(1 << a)
-            self.count[self.index[a][b]] = self.done
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            common = adj[a] & adj[b]
+            ia, ib = index[a], index[b]
+            pool = common if size else 0  # for k = 2 the pair is the whole line
+            while pool:
+                z = pool.bit_length() - 1
+                pool ^= 1 << z
+                if size == 1:  # k = 3: the one line {a, b, z}
+                    count[ia[z]] += step
+                    count[ib[z]] += step
+                    continue
+                near = common & adj[z]  # the other points of the cliques through a, b, z
+                through = step * (near.bit_count() if size == 2 else _count_cliques(adj, near, size - 1))
+                count[ia[z]] += through
+                count[ib[z]] += through
+                iz, later = index[z], pool & near
+                while later:
+                    w = later.bit_length() - 1
+                    later ^= 1 << w
+                    count[iz[w]] += step if size == 2 else step * _count_cliques(
+                        adj, near & adj[w], size - 2)
+            count[ia[b]] = (self.done if step < 0 else common.bit_count() if size == 1
+                            else _count_cliques(adj, common, size))
 
     def search(self) -> Generator[None, None, list[tuple[int, ...]] | None]:
         """Algorithm X on an explicit stack: each node branches on the pair with the
         fewest candidate lines, the first in sorted order on a tie, and tries its
-        lines in lexicographic order.  Yields once per node, before expanding it;
-        returns the first partition in the root's point names, or None."""
+        lines in lexicographic order, covering each with `toggle(line, -1)` and
+        putting it back with `toggle(line, 1)`.  A byte count is searched with
+        find (memchr) for 0, 1, 2, ... up to the first hit; a list count with
+        min and index.  Yields once per node, before expanding it; returns the
+        first partition as sorted lines in the root's point names, or None."""
+        count, done, pairs, adj = self.count, self.done, self.pairs, self.adj
+        wide, toggle = not isinstance(count, bytearray), self.toggle
         chosen: list[tuple[int, ...]] = []
         frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
         while True:
-            fewest, at = _fewest(self.count, self.done)
+            if wide:
+                fewest = min(count, default=done)
+                at = count.index(fewest) if fewest != done else -1
+            else:
+                for fewest in range(done):
+                    at = count.find(fewest)
+                    if at >= 0:
+                        break
+                else:
+                    at = -1
             if at < 0:
                 return [tuple(sorted(self.order[z] for z in line)) for line in chosen]
             yield
-            lines = _lines_through(self.adj, *self.pairs[at], self.k)
+            lines = _lines_through(adj, *pairs[at], self.k)
             if len(lines) != fewest:
                 raise RuntimeError("candidate count out of step with the uncovered pairs")
             frames.append(iter(lines))
             while True:
                 if len(chosen) == len(frames):
-                    for a, b in itertools.combinations(chosen.pop(), 2):
-                        self.join(a, b)
+                    toggle(chosen.pop(), 1)
                 line = next(frames[-1], None)
                 if line is not None:
                     break
                 frames.pop()
                 if not frames:
                     return None
-            self.cover(line)
+            toggle(line, -1)
             chosen.append(line)
 
 

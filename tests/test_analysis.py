@@ -104,6 +104,16 @@ def test_every_witness_of_a_one_line_mutant_holds(entry_id):
         assert_witnesses_hold(one_line_changed(d, seed))
 
 
+def test_a_changed_line_names_only_the_points_it_moved():
+    # Every other point keeps r = 60 lines, the most common count.
+    d = catalog.catalog_load("pent4_60")
+    mutant = one_line_changed(d, 0)
+    (old,), (new,) = set(d.lines) - set(mutant.lines), set(mutant.lines) - set(d.lines)
+    irregular = [w for code, w in verify_pentagonal(mutant).violations if code == "irregular-point"]
+    assert irregular == sorted((p, 60 + (p in new) - (p in old)) for p in set(old) ^ set(new))
+    assert len(irregular) == 2
+
+
 FANO = [(0, 1, 3), (0, 2, 6), (0, 4, 5), (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6)]
 
 

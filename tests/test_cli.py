@@ -1,5 +1,6 @@
 import io
 import shutil
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -457,6 +458,20 @@ def test_complete_names_the_rejected_edge(tmp_path, text, message):
     graph = _write(tmp_path, "g.graph", text)
     code, out = invoke(["complete", "--graph", graph, "--k", "2", "--r", "1"])
     assert (code, out) == (2, f"parse error: {message}\n")
+
+
+def test_complete_rejects_a_huge_graph_in_memory_for_its_edges(tmp_path):
+    # Only endpoints of edges get a neighbour list, so a million isolated
+    # vertices cost one reference each, not a list each (about 90 MB).
+    graph = _write(tmp_path, "g.graph", "kind: graph\nv: 1000000\n")
+    tracemalloc.start()
+    try:
+        result = invoke(["complete", "--graph", graph, "--k", "3", "--r", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (4, "error: graph has 1000000 vertices, PENT(3,1) needs 6\n")
+    assert peak < 40 * 2 ** 20
 
 
 def test_expand_names_the_bad_base_block(tmp_path):

@@ -53,7 +53,9 @@ def ref_pls_violations(d: Design) -> tuple[tuple[str, tuple], ...]:
              for y in range(x + 1, d.v) if counts[x, y] > 1]
     repl = [sum(p in line for line in d.lines) for p in range(d.v)]
     if len(set(repl)) > 1:
-        found += [("irregular-point", (p, r)) for p, r in enumerate(repl) if r != min(repl)]
+        # The usual count: the most common one, the least of them on a tie.
+        usual = min(set(repl), key=lambda r: (-repl.count(r), r))
+        found += [("irregular-point", (p, r)) for p, r in enumerate(repl) if r != usual]
     if d.r_claimed is not None and repl and repl[0] != d.r_claimed:
         found.append(("replication-mismatch", (d.r_claimed, repl[0])))
     return tuple(found)

@@ -7,7 +7,8 @@ point of every line through a point and scanned those lines for the
 opposite line, the OLP count that walked all b lines, the Bose developer
 that sorted each triple and relabelled through a dictionary, the subgraph
 that scanned every edge of the whole graph, and the exact pair-cover check
-that kept its own pair set and walked all v(v-1)/2 pairs.
+that kept its own pair set and walked all v(v-1)/2 pairs, and the graph
+builder that made a neighbour list for every vertex.
 """
 
 from __future__ import annotations
@@ -114,6 +115,16 @@ def ref_subgraph(g: defgraph.Graph, vertices: tuple[int, ...]) -> defgraph.Graph
     index = {v: i for i, v in enumerate(vertices)}
     edges = [(index[u], index[w]) for u, w in g.edges if u in index and w in index]
     return defgraph.Graph.from_edges(len(vertices), edges)
+
+
+def ref_from_edges(n: int, edges) -> defgraph.Graph:
+    seen = {(min(u, w), max(u, w)) for u, w in edges}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, w in seen:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    return defgraph.Graph(n=n, edges=tuple(sorted(seen)),
+                          neighbors=tuple(tuple(sorted(ns)) for ns in nbrs))
 
 
 def ref_check_exact_pair_cover(v: int, blocks, what: str) -> None:
@@ -284,6 +295,15 @@ def test_subgraph_matches_reference(entry_id):
         comps = defgraph.components(g)
         for comp in comps + [tuple(range(0, g.n, 2))]:
             assert defgraph.subgraph(g, comp) == ref_subgraph(g, comp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
+        lambda e: e[0] != e[1]), max_size=40 if n > 1 else 0))))
+def test_from_edges_matches_reference(case):
+    n, edges = case
+    assert defgraph.Graph.from_edges(n, edges) == ref_from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
+import hashlib
 import inspect
 import itertools
 import random
 import sys
 import time
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from pentforge import catalog, search
 from pentforge.analysis import count_olps, verify_pentagonal
-from pentforge.core import Design
+from pentforge.core import Design, serialize_design
 from pentforge.defgraph import (Graph, build_deficiency, components, girth,
                                 moore_pent, petersen)
 from pentforge.search import (RESTART_UNIT, BudgetExhausted, SearchBudget,
@@ -403,7 +405,9 @@ def test_candidate_lines_match_brute_force(name, seed):
     d, nbr, uncovered = mid_search(name, rng)
     adj = [sum(1 << y for y in ys) for ys in nbr]
     for a, b in rng.sample(uncovered, 5):
-        assert search._lines_through(adj, a, b, d.k) == ref_lines_through(nbr, a, b, d.k)
+        lines = search._lines_through(adj, a, b, d.k)
+        assert all(line[:2] == (a, b) for line in lines)
+        assert [tuple(sorted(line)) for line in lines] == ref_lines_through(nbr, a, b, d.k)
 
 
 @settings(max_examples=10, deadline=None)
@@ -438,26 +442,31 @@ def test_wide_counts_stay_in_step(seed):
 
 
 def check_counts_in_step(n: int, k: int, rng: random.Random) -> list[int] | bytearray:
-    """Cover and take back random lines of K_n as the search does, check every
-    count against a fresh count, and return the cover's counts."""
+    """Cover and take back random lines of K_n with `toggle` as the search does,
+    check every count against a fresh count after each step, and return the
+    cover's counts."""
     pairs = list(itertools.combinations(range(n), 2))
     cover = search._Cover(n, k, pairs)
     cover.count_candidates(lambda: None)
+
+    def assert_in_step():
+        uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != cover.done]
+        fresh = search._Cover(n, k, uncovered)
+        fresh.count_candidates(lambda: None)
+        assert [cover.count[cover.index[x][y]] for x, y in uncovered] == list(fresh.count)
+
     chosen = []
     for _ in range(3):
         open_pairs = [p for i, p in enumerate(pairs) if cover.count[i] not in (0, cover.done)]
         if not open_pairs:
             break
         line = rng.choice(search._lines_through(cover.adj, *rng.choice(open_pairs), k))
-        cover.cover(line)
+        cover.toggle(line, -1)
         chosen.append(line)
+        assert_in_step()
     for line in reversed(chosen[rng.randrange(len(chosen) + 1):]):
-        for a, b in itertools.combinations(line, 2):
-            cover.join(a, b)
-    uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != cover.done]
-    fresh = search._Cover(n, k, uncovered)
-    fresh.count_candidates(lambda: None)
-    assert [cover.count[cover.index[x][y]] for x, y in uncovered] == list(fresh.count)
+        cover.toggle(line, 1)
+        assert_in_step()
     return cover.count
 
 
@@ -482,14 +491,37 @@ def test_luby_sequence():
 
 
 K3_ENTRIES = [e.id for e in catalog.catalog_entries() if e.k == 3]
+# The md5 of each completion's serialize_design and the nodes the search takes
+# to find it, as recorded from the search before its cover and restore became
+# one `toggle`; the branching pair and trial order have not changed since.
+K3_COMPLETIONS = {
+    "pent3_9_olp0": ("528997d7a8a33b3c823f8751cba4f2a1", 2718),
+    "pent3_9_olp1": ("8826f20e4a9422a6b1bfba02197a6f05", 64),
+    "pent3_10": ("55b88d6a0407ab86adc86403ce6158ee", 116),
+    "pent3_10_olp1": ("2a5ee53683c92844a41a12c0e26a7f69", 187),
+    "pent3_12": ("b1f50242d62060ff23a08f1504f8e599", 11034),
+    "pent3_12_olp1": ("a9813694b8738678e1f1f88cab62ace5", 353),
+    "pent3_15": ("c47a8168f020ab7c63fa6c799b4bb059", 2817),
+    "pent3_16": ("555c656b6559d401e56ab7560cafabf7", 7818),
+    "pent3_19": ("68b2bbdd2b804eebf57e132621be4785", 762),
+    "pent3_21": ("8a5591369f3058dec04949dec101cdd0", 415),
+    "pent3_22": ("c084ef1cf0b78c18b078539ab3083c59", 320),
+    "pent3_24": ("a2ec5a36e8a0bf1342e3538b2004527a", 2507),
+    "pent3_25": ("a9dad7bed5f36c2b8c90abee03b44b47", 450),
+    "pent3_27": ("449e08aedb5fa4cc630215f548a95c42", 558),
+}
 
 
 @pytest.mark.parametrize("name", K3_ENTRIES)
 def test_every_k3_catalog_graph_completes(name):
     g, k, r = target(name)
-    d = complete_from_deficiency(g, k, r, SearchBudget(max_nodes=100_000))
+    md5, nodes = K3_COMPLETIONS[name]
+    with pytest.raises(BudgetExhausted, match=rf"^node budget {nodes - 1} exhausted"):
+        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes - 1))
+    d = complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes))
     assert d is not None and verify_pentagonal(d).ok
     assert build_deficiency(d).edges == g.edges
+    assert hashlib.md5(serialize_design(d).encode()).hexdigest() == md5
 
 
 @settings(max_examples=10, deadline=None)
@@ -538,25 +570,39 @@ def test_k4_initial_count_leaves_the_budget_to_the_nodes():
         complete_from_deficiency(g, k, r, budget)
 
 
+class Branched(Exception):
+    """Raised by a stand-in for `_lines_through` with the pair it was asked for."""
+
+
+def branching_pair(cover: search._Cover):
+    """The pair the search of `cover` branches on at its root, or None if it
+    returns at once with every pair covered."""
+    def stand_in(adj, a, b, k):
+        raise Branched(a, b)
+    run = cover.search()
+    try:
+        next(run)
+    except StopIteration as stop:
+        assert stop.value == []
+        return None
+    with mock.patch.object(search, "_lines_through", stand_in), \
+            pytest.raises(Branched) as info:
+        next(run)
+    return info.value.args
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 300) | st.none(), max_size=40), st.booleans())
 def test_fewest_is_min_then_index(values, as_bytes):
-    # None stands for a covered pair; a byte count is below 255.
+    # None stands for a covered pair; a byte count is below 255.  The search
+    # branches on the pair of least count, the first of them on a tie.
     done = 255 if as_bytes else search.DONE
     count = [done if x is None else x % 255 if as_bytes else x for x in values]
-    count = bytearray(count) if as_bytes else count
+    pairs = list(itertools.combinations(range(10), 2))[:len(count)]
+    cover = search._Cover(10, 3, pairs)
+    cover.count, cover.done = bytearray(count) if as_bytes else count, done
     least = min(count, default=done)
-    expected = (least, count.index(least) if least != done else -1)
-    assert search._fewest(count, done) == expected
-
-
-@pytest.mark.parametrize("name, nodes", [("pent3_12", 11034), ("pent3_15", 2817)])
-def test_byte_counts_keep_the_node_count(name, nodes):
-    # The node counts of the search with list counts and min/index selection.
-    g, k, r = target(name)
-    with pytest.raises(BudgetExhausted, match=rf"^node budget {nodes - 1} exhausted"):
-        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes - 1))
-    assert complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes)) is not None
+    assert branching_pair(cover) == (pairs[count.index(least)] if least != done else None)
 
 
 @pytest.mark.parametrize("name, nodes, probes, width", [("pent4_20", 300, 0, list),
@@ -564,12 +610,12 @@ def test_byte_counts_keep_the_node_count(name, nodes):
 def test_k4_budget_messages(monkeypatch, name, nodes, probes, width):
     # pent4_20's root counts reach 488, so they stay a list; pent4_13's reach 86.
     widths = set()
-    fewest = search._fewest
+    count_candidates = search._Cover.count_candidates
 
-    def spy(count, done):
-        widths.add(type(count))
-        return fewest(count, done)
-    monkeypatch.setattr(search, "_fewest", spy)
+    def spy(self, check_clock):
+        count_candidates(self, check_clock)
+        widths.add(type(self.count))
+    monkeypatch.setattr(search._Cover, "count_candidates", spy)
     g, k, r = target(name)
     message = rf"^node budget {nodes} exhausted \({nodes} nodes, {probes} probe runs\)$"
     with pytest.raises(BudgetExhausted, match=message):
