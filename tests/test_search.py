@@ -605,6 +605,15 @@ def test_fewest_is_min_then_index(values, as_bytes):
     assert branching_pair(cover) == (pairs[count.index(least)] if least != done else None)
 
 
+@pytest.mark.parametrize("name, nodes", [("pent3_12", 11034), ("pent3_15", 2817)])
+def test_byte_counts_keep_the_node_count(name, nodes):
+    # The node counts of the search with list counts and min/index selection.
+    g, k, r = target(name)
+    with pytest.raises(BudgetExhausted, match=rf"^node budget {nodes - 1} exhausted"):
+        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes - 1))
+    assert complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes)) is not None
+
+
 @pytest.mark.parametrize("name, nodes, probes, width", [("pent4_20", 300, 0, list),
                                                          ("pent4_13", 20000, 4, bytearray)])
 def test_k4_budget_messages(monkeypatch, name, nodes, probes, width):
