@@ -3,23 +3,21 @@ the known existence spectrum for small block sizes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import defgraph
 from .core import (Design, DesignError, VerificationReport, divisibility_ok, parameters,
                    verify_pls)
 
 
-@dataclass(frozen=True)
-class OppositeLineMap:
+class OppositeLineMap(NamedTuple):
     # For each point x: the set of points not collinear with x, and the index
     # of the design line equal to it (None if no such line exists).
     opposites: tuple[tuple[int, ...], ...]
     line_index: tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class OlpSet:
+class OlpSet(NamedTuple):
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     classes: defgraph.ComponentClassification
 
@@ -28,8 +26,7 @@ class OlpSet:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class SpectrumFact:
+class SpectrumFact(NamedTuple):
     k: int
     r: int
     status: str  # exists | exists-no-olp | exists-maximal | not-exist | open

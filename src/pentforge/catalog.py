@@ -10,9 +10,8 @@ files were transcribed once; the verifier, not the transcriber, is trusted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import defgraph
 from .analysis import count_olps, verify_pentagonal
@@ -26,8 +25,7 @@ class UnknownEntryError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     path: str
     source: str
@@ -39,14 +37,14 @@ class CatalogEntry:
     girth: int | None = None
     connected: bool | None = None
     olp: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    deficiency_edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    deficiency_edges: tuple[tuple[int, int], ...] = ()
 
 
 def catalog_dir() -> Path:
     override = os.environ.get("PENTFORGE_CATALOG")
     if override:
         return Path(override)
-    return Path(str(resources.files("pentforge").joinpath("data")))
+    return Path(__file__).with_name("data")
 
 
 def _olp(value: str) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -5,11 +5,10 @@ of pentagonal geometries over group divisible designs."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Design, DesignError, Schema, kind_is, point_set, points, read_file
+from .core import Design, DesignError, Schema, checked, kind_is, point_set, points, read_file
 from .analysis import verify_pentagonal
 
 
@@ -20,8 +19,8 @@ class ConstructionError(DesignError):
 # ---------------------------------------------------------------------------
 # Cyclic orbit development
 
-@dataclass(frozen=True)
-class OrbitSpec:
+@checked
+class OrbitSpec(NamedTuple):
     """Base blocks on `families` copies of Z_modulus.  Point f*modulus + j is
     residue j of family f; a plain cyclic orbit file has one family."""
     modulus: int
@@ -32,7 +31,7 @@ class OrbitSpec:
     expected_lines: int | None = None
     families: int = 1
 
-    def __post_init__(self):
+    def check(self) -> None:
         for name, least in (("modulus", 1), ("families", 1), ("k", 2)):
             value = getattr(self, name)
             if value < least:
@@ -104,32 +103,24 @@ def serialize_orbit(spec: OrbitSpec) -> str:
 # ---------------------------------------------------------------------------
 # Quasigroups and Steiner triple systems
 
-class _CheckedWhenBuilt:
-    """Runs the dataclass's `check` when an instance is built, so an invalid
-    one cannot exist and no construction needs to check its input again."""
-
-    def __post_init__(self):
-        self.check()
-
-
-@dataclass(frozen=True)
-class Quasigroup(_CheckedWhenBuilt):
+@checked
+class Quasigroup(NamedTuple):
     order: int
     table: tuple[tuple[int, ...], ...]
 
     def check(self) -> None:
         """Latin square, commutative and idempotent; raises on violation."""
-        n = self.order
+        n, table = self.order, self.table
         full = set(range(n))
         for x in range(n):
-            if set(self.table[x]) != full:
+            if set(table[x]) != full:
                 raise ConstructionError(f"row {x} is not a permutation")
-            if set(row[x] for row in self.table) != full:
+            if set(row[x] for row in table) != full:
                 raise ConstructionError(f"column {x} is not a permutation")
-            if self.table[x][x] != x:
+            if table[x][x] != x:
                 raise ConstructionError(f"not idempotent at {x}")
             for y in range(x + 1, n):
-                if self.table[x][y] != self.table[y][x]:
+                if table[x][y] != table[y][x]:
                     raise ConstructionError(f"not commutative at ({x},{y})")
 
 
@@ -142,8 +133,8 @@ def cyclic_idempotent_quasigroup(n: int) -> Quasigroup:
     return Quasigroup(order=n, table=table)
 
 
-@dataclass(frozen=True)
-class Sts(_CheckedWhenBuilt):
+@checked
+class Sts(NamedTuple):
     v: int
     triples: tuple[tuple[int, ...], ...]
 
@@ -153,8 +144,8 @@ class Sts(_CheckedWhenBuilt):
         _check_cover("STS", self.v, 3, self.triples)
 
 
-@dataclass(frozen=True)
-class Pbd(_CheckedWhenBuilt):
+@checked
+class Pbd(NamedTuple):
     """Pairwise balanced design with triples plus one distinguished 5-block."""
     v: int
     distinguished: tuple[int, ...]
@@ -296,8 +287,8 @@ def pbd_pent3(p: Pbd, a: int) -> Design:
 # ---------------------------------------------------------------------------
 # Group divisible designs and composition
 
-@dataclass(frozen=True)
-class Gdd(_CheckedWhenBuilt):
+@checked
+class Gdd(NamedTuple):
     v: int
     k: int
     groups: tuple[tuple[int, ...], ...]

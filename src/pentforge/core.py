@@ -14,11 +14,10 @@ import errno
 import os
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, islice
 from operator import eq, itemgetter, lt
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 KINDS = ("pent", "pls", "raw")
 
@@ -36,13 +35,31 @@ class ParseError(DesignError):
     """A file does not conform to its declared format."""
 
 
-@dataclass(frozen=True)
-class Design:
+def checked(record):
+    """Class decorator for a NamedTuple with a `check` method: every instance
+    built, by the constructor, `_make` or `_replace`, is checked, so an
+    invalid one cannot exist and no one needs to check it again."""
+    new, make = record.__new__, record._make.__func__
+
+    def built(self):
+        self.check()
+        return self
+    record.__new__ = staticmethod(lambda cls, *args, **kwargs: built(new(cls, *args, **kwargs)))
+    record._make = classmethod(lambda cls, iterable: built(make(cls, iterable)))
+    return record
+
+
+class _DesignFields(NamedTuple):
     v: int
     k: int
     lines: tuple[tuple[int, ...], ...]
     r_claimed: int | None = None
     kind: str = "pent"
+
+
+class Design(_DesignFields):
+    """Points 0..v-1 and canonical lines of k points, built by `make`.  No
+    `__slots__`, so an instance keeps its `incidence` in its `__dict__`."""
 
     @classmethod
     def make(cls, v: int, k: int, lines: Iterable[Sequence[int]],
@@ -176,8 +193,7 @@ class PairCoverage:
         return cov
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One verdict: whether the design passes, the number of lines through
     every point (None if points differ or there are no points), and the
     violations, each with its witness."""
@@ -255,8 +271,7 @@ def records(text: str) -> list[tuple[int, str, str]]:
 Converter = Callable[[str], Any]
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     """One `key: value` file format.  Header fields (name -> (converter,
     required)) appear at most once; repeated fields (name -> converter) any
     number of times.  `kind` is a header field like any other."""
@@ -293,16 +308,17 @@ def read_records(recs: list[tuple[int, str, str]], schema: Schema) -> dict[str, 
     duplicate header fields, missing required fields and values a converter
     cannot read are ParseErrors.
     """
-    fields: dict[str, Any] = {key: [] for key in schema.repeated}
+    repeated, header = schema.repeated, schema.header
+    fields: dict[str, Any] = {key: [] for key in repeated}
     try:
         for lineno, key, value in recs:
-            convert = schema.repeated.get(key)
+            convert = repeated.get(key)
             if convert is not None:
                 fields[key].append(convert(value))
             elif key in fields:
                 raise ParseError(f"line {lineno}: duplicate header field {key!r}")
-            elif key in schema.header:
-                fields[key] = schema.header[key][0](value)
+            elif key in header:
+                fields[key] = header[key][0](value)
             else:
                 raise ParseError(
                     f"line {lineno}: unknown field {key!r} in {schema.name} file")
@@ -310,7 +326,7 @@ def read_records(recs: list[tuple[int, str, str]], schema: Schema) -> dict[str, 
         raise
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad {key} value {value!r}: {exc}") from None
-    for key, (_, required) in schema.header.items():
+    for key, (_, required) in header.items():
         if key not in fields:
             if required:
                 raise ParseError(f"{schema.name} file missing required field {key!r}")

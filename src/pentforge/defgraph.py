@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Design, DesignError, Schema, kind_is, read_file
 
@@ -22,8 +21,7 @@ class MoorePreconditionError(ValueError):
     """Input graph fails one of the Moore graph properties."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
@@ -72,13 +70,13 @@ def _bfs_shortest_cycle_through(g: Graph, root: int, cutoff: float) -> float:
     # close a cycle of length dist[u]+dist[w]+1.
     dist = {root: 0}
     parent = {root: -1}
-    best = cutoff
+    best, neighbors = cutoff, g.neighbors
     queue = deque([root])
     while queue:
         u = queue.popleft()
         if 2 * dist[u] + 1 >= best:
             break
-        for w in g.neighbors[u]:
+        for w in neighbors[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 parent[w] = u
@@ -100,7 +98,7 @@ def girth(g: Graph) -> int | float:
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    seen = [False] * g.n
+    seen, neighbors = [False] * g.n, g.neighbors
     comps = []
     for start in range(g.n):
         if seen[start]:
@@ -110,7 +108,7 @@ def components(g: Graph) -> list[tuple[int, ...]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors[u]:
+            for w in neighbors[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -130,8 +128,7 @@ def subgraph(g: Graph, vertices: tuple[int, ...]) -> Graph:
     return Graph.from_edges(len(vertices), edges)
 
 
-@dataclass(frozen=True)
-class ComponentClassification:
+class ComponentClassification(NamedTuple):
     """Each component with its tag and girth, the tag counts, the least
     component girth (the girth of the whole graph) and whether there is at
     most one component."""

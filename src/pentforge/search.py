@@ -7,11 +7,10 @@ import itertools
 import random
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator, Iterator, NamedTuple
 
-from .core import Design, parameters
+from .core import Design, checked, parameters
 from .defgraph import Graph, build_deficiency, classify
 
 
@@ -29,12 +28,12 @@ class SearchPreconditionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+@checked
+class SearchBudget(NamedTuple):
     max_nodes: int = 10 ** 8
     max_seconds: float = 60.0
 
-    def __post_init__(self):
+    def check(self) -> None:
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # NaN fails too
             raise ValueError("budget limits must be positive")
 
@@ -337,6 +336,7 @@ def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
     and time budgets cover the initial count, the trunk and every probe.
     """
     deadline = time.monotonic() + budget.max_seconds
+    max_nodes = budget.max_nodes
     nodes = probes = 0
 
     def exhausted(what: str) -> BudgetExhausted:
@@ -353,8 +353,8 @@ def _exact_cover(n: int, k: int, uncovered: list[tuple[int, int]],
         try:
             for _ in range(RESTART_UNIT * luby(max(probes, 1))):
                 next(run)
-                if nodes == budget.max_nodes:
-                    raise exhausted(f"node budget {budget.max_nodes}")
+                if nodes == max_nodes:
+                    raise exhausted(f"node budget {max_nodes}")
                 check_clock()
                 nodes += 1
         except StopIteration as stop:
