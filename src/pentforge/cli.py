@@ -9,6 +9,7 @@ Commands raise; `run` alone turns an exception into an exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -201,7 +202,10 @@ def cmd_params(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and reused after it:
+    parsing leaves a parser unchanged."""
     top = argparse.ArgumentParser(
         prog="pentforge",
         description="Construct, verify, analyze and catalog pentagonal geometries.")

@@ -86,10 +86,12 @@ def _bfs_shortest_cycle_through(g: Graph, root: int, cutoff: float) -> float:
     return best
 
 
-def girth(g: Graph) -> int | float:
-    """Length of the shortest cycle; math.inf for forests."""
+def girth(g: Graph, roots: Iterable[int] | None = None) -> int | float:
+    """Length of the shortest cycle through any of `roots` (every vertex by
+    default), so the roots of one component give its girth; math.inf for
+    forests."""
     best: float = INFINITE_GIRTH
-    for root in range(g.n):
+    for root in range(g.n) if roots is None else roots:
         best = _bfs_shortest_cycle_through(g, root, best)
         if best == 3:
             break
@@ -149,16 +151,19 @@ def classify(g: Graph, k: int) -> ComponentClassification:
 
     A component with 2k vertices, k*k edges and no triangle is K_{k,k}: by
     Mantel's theorem a triangle-free graph on 2k vertices has at most k*k
-    edges, and only K_{k,k} attains that.
+    edges, and only K_{k,k} attains that.  A component is closed under
+    adjacency, so it is read in place: its degrees are its vertices'
+    degrees in g and its edges half their sum.
     """
     tagged = []
     counts = {"K_kk": 0, "girth5plus": 0, "other": 0}
+    neighbors = g.neighbors
     for comp in components(g):
-        sub = subgraph(g, comp)
-        gir = girth(sub)
-        if sub.n == 2 * k and len(sub.edges) == k * k and gir >= 4:
+        degrees = [len(neighbors[u]) for u in comp]
+        gir = girth(g, roots=comp)
+        if len(comp) == 2 * k and sum(degrees) == 2 * k * k and gir >= 4:
             tag = "K_kk"
-        elif gir >= 5 and sub.is_regular(k):
+        elif gir >= 5 and set(degrees) <= {k}:
             tag = "girth5plus"
         else:
             tag = "other"

@@ -385,6 +385,40 @@ def test_exit_code_matrix(tmp_path, case):
     assert "Traceback" not in out
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once and reused: a mixed sequence of calls in one
+    process gives the outputs, files and exit codes of a parser built afresh
+    for each call, and a second `--part` list does not see the first."""
+    assert cli.build_parser() is cli.build_parser()
+    gdd = _write(tmp_path, "td.gdd", serialize_gdd(td3(6)))
+    part = _write(tmp_path, "deg.design", serialize_design(degenerate_pent(3)))
+    expanded = tmp_path / "x.design"
+    calls = [["analyze", catalog_file("pent3_9_olp1")],
+             ["verify", _write(tmp_path, "e.design", "v: 3\nk: 2\n")],
+             ["compose", "--gdd", gdd, "--part", part, "--part", part, "--part", part],
+             ["compose", "--gdd", gdd, "--part", part, "--part", part],
+             ["expand", catalog_file("pent4_13"), "--out", str(expanded)],
+             ["catalog", "list"], ["params", "3", "9"], ["bogus"]]
+
+    def results(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            expanded.unlink(missing_ok=True)
+            code, out = exit_code(argv)
+            got.append((code, out, capsys.readouterr().err,
+                        expanded.read_text() if expanded.exists() else None))
+        return got
+
+    reused = results(fresh=False)
+    assert [code for code, *_ in reused] == [0, 1, 0, 4, 0, 0, 0, 2]
+    assert "need exactly one part" in reused[3][1]
+    assert "invalid choice: 'bogus'" in reused[-1][2]
+    assert reused[4][3] is not None
+    assert results(fresh=True) == reused
+
+
 def test_design_error_without_a_record_exits_2(monkeypatch):
     """No file input reaches `run`'s DesignError clause today; it stays the
     exit path for a DesignError that names no record."""

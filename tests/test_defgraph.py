@@ -52,6 +52,15 @@ def test_girth(graph, expected):
     assert girth(graph) == expected
 
 
+def test_girth_through_roots_is_the_girth_of_their_component():
+    """Petersen on 0..9 beside a 4-cycle on 10..13."""
+    g = Graph.from_edges(14, list(petersen().edges) + [(10 + u, 10 + w)
+                                                        for u, w in cycle_graph(4).edges])
+    assert girth(g) == girth(g, roots=(12,)) == 4
+    assert girth(g, roots=range(10)) == 5
+    assert girth(g, roots=()) == math.inf
+
+
 def test_girth_pent3_27():
     g = build_deficiency(catalog.catalog_load("pent3_27"))
     assert girth(g) == 6
@@ -275,9 +284,9 @@ def test_analyze_classifies_once(monkeypatch):
         finally:
             inside.pop()
 
-    def girth_counted(g):
+    def girth_counted(g, roots=None):
         calls["girth" if not inside else "component girth"] += 1
-        return real_girth(g)
+        return real_girth(g, roots)
 
     def is_connected_counted(g):
         calls["is_connected"] += 1

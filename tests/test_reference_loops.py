@@ -1,5 +1,6 @@
-"""The Bose developer, the incidence index, the OLP count, `subgraph` and
-the ingredients' pair-cover check against the plain loops they replaced.
+"""The Bose developer, the incidence index, the OLP count, `subgraph`, the
+ingredients' pair-cover check and the quasigroup check against the plain
+loops they replaced.
 
 Each reference below is the earlier implementation, kept here only to pin
 its replacement to the same output: the incidence index that counted every
@@ -7,8 +8,9 @@ point of every line through a point and scanned those lines for the
 opposite line, the OLP count that walked all b lines, the Bose developer
 that sorted each triple and relabelled through a dictionary, the subgraph
 that scanned every edge of the whole graph, and the exact pair-cover check
-that kept its own pair set and walked all v(v-1)/2 pairs, and the graph
-builder that made a neighbour list for every vertex.
+that kept its own pair set and walked all v(v-1)/2 pairs, the graph
+builder that made a neighbour list for every vertex, and the quasigroup
+check that walked every row, column and pair of the table.
 """
 
 from __future__ import annotations
@@ -109,6 +111,20 @@ def ref_pbd_quasigroup(p: Pbd) -> Quasigroup:
             if x != y:
                 table[x][y] = dist[(i + j) * 3 % 5]
     return Quasigroup(order=p.v, table=tuple(map(tuple, table)))
+
+
+def ref_quasigroup_check(n: int, table) -> None:
+    full = set(range(n))
+    for x in range(n):
+        if set(table[x]) != full:
+            raise ConstructionError(f"row {x} is not a permutation")
+        if set(row[x] for row in table) != full:
+            raise ConstructionError(f"column {x} is not a permutation")
+        if table[x][x] != x:
+            raise ConstructionError(f"not idempotent at {x}")
+        for y in range(x + 1, n):
+            if table[x][y] != table[y][x]:
+                raise ConstructionError(f"not commutative at ({x},{y})")
 
 
 def ref_subgraph(g: defgraph.Graph, vertices: tuple[int, ...]) -> defgraph.Graph:
@@ -373,3 +389,129 @@ def test_pair_cover_rejects_what_the_reference_rejects(name, how):
             assert str(info.value) == f"{what}: duplicate line {repeated}", seed
         else:
             assert str(info.value) == f"{what}: {least_fault(v, fixed + bad)}", seed
+
+
+# ---------------------------------------------------------------------------
+# Quasigroup check
+
+def outcome(call):
+    """None, or the type and message of what the call raised."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_check_matches(order: int, table) -> None:
+    assert (outcome(lambda: Quasigroup(order=order, table=table))
+            == outcome(lambda: ref_quasigroup_check(order, table))), (order, table)
+
+
+def relabelled_quasigroup(n: int, seed: int) -> tuple:
+    """The cyclic quasigroup of odd order n with its points permuted: still
+    commutative and idempotent."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    table = cyclic_idempotent_quasigroup(n).table
+    inverse = {p: x for x, p in enumerate(perm)}
+    return tuple(tuple(perm[table[inverse[x]][inverse[y]]] for y in range(n))
+                 for x in range(n))
+
+
+@pytest.mark.parametrize("q", [cyclic_idempotent_quasigroup(n) for n in (1, 3, 5, 135)]
+                         + [steiner_quasigroup(sts_bose(v)) for v in (9, 135)]
+                         + [ref_pbd_quasigroup(PBD11)],
+                         ids=lambda q: f"order{q.order}")
+def test_quasigroup_check_accepts_what_the_reference_accepts(q):
+    ref_quasigroup_check(q.order, q.table)
+    assert Quasigroup(order=q.order, table=q.table) == q
+
+
+@pytest.mark.parametrize("n", [5, 7, 135])
+def test_quasigroup_check_rejects_a_latin_square_that_does_not_commute(n):
+    """x*y = 2x - y mod n: idempotent, every row and column a permutation."""
+    table = tuple(tuple((2 * x - y) % n for y in range(n)) for x in range(n))
+    assert outcome(lambda: Quasigroup(order=n, table=table)) == (
+        ConstructionError, "not commutative at (0,1)")
+    assert_check_matches(n, table)
+
+
+def test_quasigroup_check_names_every_small_fault_as_the_reference_does():
+    table = relabelled_quasigroup(5, 1)
+    for x, y in combinations(range(5), 2):
+        swapped = [list(row) for row in table]
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        assert_check_matches(5, tuple(map(tuple, swapped)))
+        for z in range(5):  # rows stay permutations, the diagonal stays
+            swapped = [list(row) for row in table]
+            swapped[z][x], swapped[z][y] = swapped[z][y], swapped[z][x]
+            assert_check_matches(5, tuple(map(tuple, swapped)))
+    for x in range(5):
+        for y in range(5):
+            for value in range(-1, 7):
+                cells = [list(row) for row in table]
+                cells[x][y] = value
+                assert_check_matches(5, tuple(map(tuple, cells)))
+
+
+def near_miss(draw, table: tuple) -> object:
+    """The table with one fault: a cell changed, two rows or two cells of a
+    row swapped, a row or cell added or dropped, a row a list, or the whole
+    table a list."""
+    rows = [list(row) for row in table]
+    n = len(rows)
+    how = draw(st.sampled_from(["cell", "rows-swapped", "cells-swapped", "row-dropped",
+                                "row-added", "cell-dropped", "cell-added", "list-row",
+                                "list-table", "none"]))
+    index = st.integers(0, max(n - 1, 0))
+    if how == "cell" and n:
+        rows[draw(index)][draw(index)] = draw(st.integers(-1, n + 1))
+    elif how == "rows-swapped" and n:
+        x, y = draw(index), draw(index)
+        rows[x], rows[y] = rows[y], rows[x]
+    elif how == "cells-swapped" and n:
+        row, x, y = rows[draw(index)], draw(index), draw(index)
+        row[x], row[y] = row[y], row[x]
+    elif how == "row-dropped" and n:
+        del rows[draw(index)]
+    elif how == "row-added":
+        rows.insert(draw(st.integers(0, n)), draw(st.lists(st.integers(0, n), max_size=n + 1)))
+    elif how == "cell-dropped" and n:
+        rows[draw(index)].pop()
+    elif how == "cell-added" and n:
+        rows[draw(index)].append(draw(st.integers(-1, n)))
+    if how == "list-row" and n:
+        i = draw(index)
+        return tuple(rows[j] if j == i else tuple(rows[j]) for j in range(n))
+    if how == "list-table":
+        return rows
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def quasigroup_inputs(draw) -> tuple[int, object]:
+    """An order and a table: a relabelled quasigroup or a near miss of one,
+    given its own order or one off, or a small table of any shape."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([1, 3, 5, 7, 9]))
+        table = near_miss(draw, relabelled_quasigroup(n, draw(st.integers(0, 99))))
+        return n + draw(st.sampled_from([0, 0, 0, -1, 1])), table
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, n), min_size=n, max_size=n)
+                         | st.lists(st.integers(-1, n), max_size=n + 1), max_size=n + 1))
+    return n, tuple(map(tuple, rows)) if draw(st.booleans()) else rows
+
+
+@pytest.mark.parametrize("order, table", [
+    (0, None), (2, None), (2, (1, 2)), (2, ((0, [1]), ([1], 1))), (1, ((0,), 5)),
+    (2, ((0, 1), (1, 0), 7)), (3, ((0, 2, 1), {1: 2}, (1, 0, 2))), (2, "ab"),
+])
+def test_quasigroup_check_raises_as_the_reference_on_odd_inputs(order, table):
+    assert_check_matches(order, table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quasigroup_inputs())
+def test_quasigroup_check_matches_reference_on_any_table(case):
+    assert_check_matches(*case)
