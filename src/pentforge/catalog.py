@@ -73,7 +73,9 @@ MANIFEST = Schema("manifest",
                   repeated={"defedge": _pair})
 
 
-def _parse_manifest(text: str) -> list[CatalogEntry]:
+def _parse_manifest(text: str) -> dict[str, CatalogEntry]:
+    """The manifest's entries by id, in file order; a repeated id is a
+    ParseError naming the line of its second `entry:` record."""
     sections: list[list[tuple[int, str, str]]] = []
     for record in records(text):
         if record[1] == "entry":
@@ -81,27 +83,49 @@ def _parse_manifest(text: str) -> list[CatalogEntry]:
         elif not sections:
             raise ParseError(f"line {record[0]}: manifest must start with an 'entry:' record")
         sections[-1].append(record)
-    entries = []
+    entries: dict[str, CatalogEntry] = {}
     for section in sections:
         try:
             f = read_records(section, MANIFEST)
         except ParseError as exc:
             raise ParseError(f"entry {section[0][2]}: {exc}") from None
-        entries.append(CatalogEntry(id=f.pop("entry"),
-                                    deficiency_edges=tuple(sorted(f.pop("defedge"))), **f))
+        entry = CatalogEntry(id=f.pop("entry"),
+                             deficiency_edges=tuple(sorted(f.pop("defedge"))), **f)
+        if entry.id in entries:
+            raise ParseError(f"entry {entry.id}: line {section[0][0]}: duplicate entry id")
+        entries[entry.id] = entry
     return entries
 
 
+# The last manifest read: its path, its (st_mtime_ns, st_size) and its
+# entries by id, sorted by id.  It is reused while the stamp is unchanged,
+# the rule Python's bytecode cache applies to sources; the stat comes before
+# the read, so an edit made during the read is seen by the next call.  A
+# manifest that cannot be read or parsed is never kept.
+_index: tuple = (None, None, {})
+
+
+def _entries_by_id() -> dict[str, CatalogEntry]:
+    global _index
+    path = catalog_dir() / "manifest.txt"
+    st = os.stat(path)
+    stamp = (st.st_mtime_ns, st.st_size)
+    if _index[:2] != (path, stamp):
+        entries = _parse_manifest(read_text(path))
+        _index = (path, stamp, dict(sorted(entries.items())))
+    return _index[2]
+
+
 def catalog_entries() -> list[CatalogEntry]:
-    text = read_text(catalog_dir() / "manifest.txt")
-    return sorted(_parse_manifest(text), key=lambda e: e.id)
+    """Every entry, sorted by id; a new list on each call."""
+    return list(_entries_by_id().values())
 
 
 def catalog_entry(entry_id: str) -> CatalogEntry:
-    for entry in catalog_entries():
-        if entry.id == entry_id:
-            return entry
-    raise UnknownEntryError(entry_id)
+    try:
+        return _entries_by_id()[entry_id]
+    except KeyError:
+        raise UnknownEntryError(entry_id) from None
 
 
 # ---------------------------------------------------------------------------

@@ -65,34 +65,53 @@ def build_deficiency(d: Design) -> Graph:
     return incidence.deficiency
 
 
-def _bfs_shortest_cycle_through(g: Graph, root: int, cutoff: float) -> float:
-    # Shortest cycle through root via BFS; edges between equal/adjacent levels
-    # close a cycle of length dist[u]+dist[w]+1.
-    dist = {root: 0}
-    parent = {root: -1}
-    best, neighbors = cutoff, g.neighbors
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        if 2 * dist[u] + 1 >= best:
-            break
-        for w in neighbors[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif parent[u] != w and parent[w] != u:
-                best = min(best, dist[u] + dist[w] + 1)
-    return best
+class _Masks(dict):
+    """Each vertex's neighbours as a bitmask, made on first use, so a BFS
+    that stays in one component reads only that component's vertices."""
+
+    def __init__(self, neighbors: tuple[tuple[int, ...], ...]):
+        self.neighbors = neighbors
+
+    def __missing__(self, u: int) -> int:
+        mask = self[u] = sum(map((1).__lshift__, self.neighbors[u]))
+        return mask
+
+
+def _shortest_cycle_through(adj: _Masks, root: int, cutoff: float) -> float:
+    """The shortest cycle a BFS from `root` closes, or `cutoff` if none is
+    shorter.  `adj` holds each vertex's neighbours as a bitmask.  Of the BFS
+    layers, an edge inside layer d closes a cycle of length 2d+1, and a
+    vertex of layer d+1 with two neighbours in layer d one of length 2d+2."""
+    seen = layer = 1 << root
+    depth = 0
+    while layer and 2 * depth + 1 < cutoff:
+        below = twice = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            if nbrs & layer:
+                return 2 * depth + 1
+            fresh = nbrs & ~seen
+            twice |= below & fresh
+            below |= fresh
+        if twice:
+            return 2 * depth + 2  # at most cutoff, as 2 * depth + 1 < cutoff
+        seen |= below
+        layer = below
+        depth += 1
+    return cutoff
 
 
 def girth(g: Graph, roots: Iterable[int] | None = None) -> int | float:
     """Length of the shortest cycle through any of `roots` (every vertex by
     default), so the roots of one component give its girth; math.inf for
     forests."""
+    adj = _Masks(g.neighbors)
     best: float = INFINITE_GIRTH
     for root in range(g.n) if roots is None else roots:
-        best = _bfs_shortest_cycle_through(g, root, best)
+        best = _shortest_cycle_through(adj, root, best)
         if best == 3:
             break
     return int(best) if best != INFINITE_GIRTH else INFINITE_GIRTH

@@ -98,18 +98,19 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
     """K_n minus vertex-disjoint cycles of the given lengths; lines are the
-    remaining edges, drawn from one tuple of pairs per n, so designs on the
-    same points share their line tuples."""
+    remaining edges, picked from one tuple of pairs per n by a mask that
+    clears the deleted pairs, so designs on the same points share their
+    line tuples."""
     n = sum(ctype)
-    deleted = set()
+    pairs = _pairs(n)
+    keep = bytearray(b"\x01") * len(pairs)
     start = 0
     for length in ctype:
         end = start + length - 1
-        deleted.update(zip(range(start, end), range(start + 1, end + 1)))
-        deleted.add((start, end))
+        for x, y in [*zip(range(start, end), range(start + 1, end + 1)), (start, end)]:
+            keep[x * (2 * n - x - 1) // 2 + y - x - 1] = 0  # the index of (x, y) in pairs
         start += length
-    lines = itertools.filterfalse(deleted.__contains__, _pairs(n))
-    return Design.make(v=n, k=2, lines=lines, r_claimed=n - 3)
+    return Design.make(v=n, k=2, lines=list(itertools.compress(pairs, keep)), r_claimed=n - 3)
 
 
 def pent2_enumerate(r: int) -> list[tuple[tuple[int, ...], Design]]:

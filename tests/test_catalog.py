@@ -1,4 +1,6 @@
+import builtins
 import io
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,10 @@ from pentforge.construct import ConstructionError, OrbitSpec, expand_orbits
 from pentforge.core import ParseError
 from pentforge.defgraph import build_deficiency, girth
 from tests.conftest import check_universal
+
+
+ENTRY_IDS = sorted(e.id for e in catalog.catalog_entries())
+BUNDLED_MANIFEST = (catalog.catalog_dir() / "manifest.txt").read_text()
 
 
 def test_catalog_has_23_entries():
@@ -131,7 +137,8 @@ def test_girth_claims_spot_checked():
     ("k: 3\n", "", "missing required field 'k'"),
     ("r: 9\n", "", "missing required field 'r'"),
     ("v: 22\n", "v: ten\n", "bad v value 'ten'"),
-], ids=["no-source", "no-b", "no-k", "no-r", "v-not-a-number"])
+    ("entry: pent3_9_olp0\n", "entry: pent3_9_olp1\n", "line 11: duplicate entry id$"),
+], ids=["no-source", "no-b", "no-k", "no-r", "v-not-a-number", "repeated-id"])
 def test_bad_manifest_is_a_parse_error(tmp_path, monkeypatch, old, new, message):
     text = (catalog.catalog_dir() / "manifest.txt").read_text()
     assert old in text
@@ -143,3 +150,69 @@ def test_bad_manifest_is_a_parse_error(tmp_path, monkeypatch, old, new, message)
         out = io.StringIO()
         assert run(argv, out=out) == 2, argv
         assert out.getvalue().startswith("parse error:")
+
+
+# ---------------------------------------------------------------------------
+# The manifest index
+
+def test_manifest_is_opened_once_for_23_loads(monkeypatch):
+    monkeypatch.setattr(catalog, "_index", (None, None, {}))
+    opened = []
+    saved = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return saved(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    for entry_id in ENTRY_IDS:
+        catalog.catalog_load(entry_id)
+    assert sum(name.endswith("manifest.txt") for name in opened) == 1
+    assert len(opened) == 24  # the manifest and 23 payloads
+
+
+def _copy_manifest(tmp_path, monkeypatch) -> Path:
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(BUNDLED_MANIFEST)
+    monkeypatch.setenv("PENTFORGE_CATALOG", str(tmp_path))
+    return manifest
+
+
+def test_rewritten_manifest_is_read_again(tmp_path, monkeypatch):
+    manifest = _copy_manifest(tmp_path, monkeypatch)
+    assert [e.id for e in catalog.catalog_entries()] == ENTRY_IDS
+    manifest.write_text(manifest.read_text().split("\nentry: pent4_60\n")[0])
+    assert [e.id for e in catalog.catalog_entries()] == ENTRY_IDS[:-1]
+    with pytest.raises(UnknownEntryError):
+        catalog.catalog_entry("pent4_60")
+    monkeypatch.delenv("PENTFORGE_CATALOG")  # the directory is picked on each call
+    assert catalog.catalog_entry("pent4_60").v == 185
+
+
+def test_entries_list_is_a_copy():
+    entries = catalog.catalog_entries()
+    entries.pop()
+    entries[0] = None
+    assert [e.id for e in catalog.catalog_entries()] == ENTRY_IDS
+
+
+@pytest.mark.parametrize("how", ["missing", "not-utf8", "deleted"])
+def test_manifest_errors_are_not_kept(tmp_path, monkeypatch, how):
+    manifest = _copy_manifest(tmp_path, monkeypatch)
+    if how == "deleted":  # read once, then gone
+        assert len(catalog.catalog_entries()) == 23
+        manifest.unlink()
+    elif how == "missing":
+        manifest.unlink()
+    else:
+        manifest.write_bytes(b"entry: \xff\n")
+    outputs = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert run(["catalog", "list"], out=out) == 2
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(f"error: cannot read {manifest}: ")
+    manifest.write_text(BUNDLED_MANIFEST)
+    assert len(catalog.catalog_entries()) == 23

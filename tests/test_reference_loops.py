@@ -1,6 +1,6 @@
 """The Bose developer, the incidence index, the OLP count, `subgraph`, the
-ingredients' pair-cover check and the quasigroup check against the plain
-loops they replaced.
+ingredients' pair-cover check, the quasigroup check, the girth BFS and the
+PENT(2,r) line lists against the plain loops they replaced.
 
 Each reference below is the earlier implementation, kept here only to pin
 its replacement to the same output: the incidence index that counted every
@@ -10,20 +10,24 @@ that sorted each triple and relabelled through a dictionary, the subgraph
 that scanned every edge of the whole graph, and the exact pair-cover check
 that kept its own pair set and walked all v(v-1)/2 pairs, the graph
 builder that made a neighbour list for every vertex, and the quasigroup
-check that walked every row, column and pair of the table.
+check that walked every row, column and pair of the table, the girth that
+ran a dictionary BFS from each root, and the cycle-type lines that tested
+every pair against a set of deleted edges.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentforge import catalog, defgraph
+from pentforge import catalog, defgraph, search
 from pentforge.analysis import count_olps
 from pentforge.construct import (ConstructionError, Gdd, Pbd, Quasigroup, Sts, bose_pent3,
                                  bose_sts, cyclic_idempotent_quasigroup, pbd_pent3,
@@ -158,6 +162,39 @@ def ref_check_exact_pair_cover(v: int, blocks, what: str) -> None:
         for y in range(x + 1, v):
             if x * v + y not in covered:
                 raise ConstructionError(f"{what}: pair ({x},{y}) uncovered")
+
+
+def ref_girth(g: defgraph.Graph, roots=None) -> float:
+    """Least over the roots of the shortest cycle a dictionary BFS from the
+    root closes with a non-tree edge, cut off at the best so far."""
+    best = math.inf
+    for root in range(g.n) if roots is None else roots:
+        dist, parent, queue = {root: 0}, {root: -1}, deque([root])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] + 1 >= best:
+                break
+            for w in g.neighbors[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w and parent[w] != u:
+                    best = min(best, dist[u] + dist[w] + 1)
+        if best == 3:
+            break
+    return best
+
+
+def ref_cycle_type_lines(ctype: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pairs of K_n in lexicographic order, less each cycle's edges."""
+    deleted, start = set(), 0
+    for length in ctype:
+        end = start + length - 1
+        deleted.update(zip(range(start, end), range(start + 1, end + 1)))
+        deleted.add((start, end))
+        start += length
+    return [pair for pair in combinations(range(start), 2) if pair not in deleted]
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +552,68 @@ def test_quasigroup_check_raises_as_the_reference_on_odd_inputs(order, table):
 @given(quasigroup_inputs())
 def test_quasigroup_check_matches_reference_on_any_table(case):
     assert_check_matches(*case)
+
+
+# ---------------------------------------------------------------------------
+# Girth
+
+@pytest.mark.parametrize("entry_id", ENTRIES)
+def test_girth_matches_reference_on_catalog(entry_id):
+    g = defgraph.build_deficiency(_entry(entry_id))
+    for comp in defgraph.components(g):
+        assert defgraph.girth(g, roots=comp) == ref_girth(g, roots=comp)
+
+
+def test_girth_matches_reference_on_the_bose_pent3_199():
+    g = defgraph.build_deficiency(bose_pent3(sts_bose(135), 0))  # the bench's bose design
+    assert g.n == 402
+    assert defgraph.girth(g) == ref_girth(g)
+    for comp in defgraph.components(g):
+        assert defgraph.girth(g, roots=comp) == ref_girth(g, roots=comp)
+
+
+@st.composite
+def girth_graphs(draw) -> defgraph.Graph:
+    """Random graphs on at most 30 vertices: any edges, forests, disjoint
+    triangles with chords, or two such graphs side by side."""
+    def one(n: int, shape: str) -> list[tuple[int, int]]:
+        if shape == "forest":
+            return [(draw(st.integers(0, i - 1)), i) for i in range(1, n)
+                    if draw(st.booleans())]
+        if shape == "triangles":
+            edges = [e for t in range(0, n - 2, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
+            pairs = list(combinations(range(n), 2))
+            return edges + (draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else [])
+        pairs = list(combinations(range(n), 2))
+        return draw(st.lists(st.sampled_from(pairs), max_size=45)) if pairs else []
+
+    shape = draw(st.sampled_from(["random", "forest", "triangles", "disconnected"]))
+    if shape != "disconnected":
+        n = draw(st.integers(0, 30))
+        return defgraph.Graph.from_edges(n, one(n, shape))
+    a, b = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    edges = one(a, draw(st.sampled_from(["random", "forest", "triangles"])))
+    edges += [(a + u, a + w) for u, w in one(b, draw(st.sampled_from(["random", "forest"])))]
+    return defgraph.Graph.from_edges(a + b, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(girth_graphs(), st.randoms(use_true_random=False))
+def test_girth_matches_reference_on_random_graphs(g, rng):
+    assert defgraph.girth(g) == ref_girth(g)
+    for comp in defgraph.components(g):
+        assert defgraph.girth(g, roots=comp) == ref_girth(g, roots=comp)
+    roots = rng.sample(range(g.n), rng.randint(0, g.n))
+    assert defgraph.girth(g, roots=roots) == ref_girth(g, roots=roots)
+
+
+# ---------------------------------------------------------------------------
+# PENT(2,r) lines
+
+def test_cycle_type_lines_match_reference_and_share_the_pair_tuple():
+    for n in range(5, 44):  # r = n - 3 from 2 to 40
+        pairs = {id(pair) for pair in search._pairs(n)}
+        for ctype in search.cycle_types(n):
+            lines = search.design_from_cycle_type(ctype).lines
+            assert list(lines) == ref_cycle_type_lines(ctype), ctype
+            assert all(id(line) in pairs for line in lines), ctype
