@@ -8,7 +8,7 @@ import random
 import sys
 import time
 from functools import lru_cache
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 from .core import Design, checked, parameters
 from .defgraph import Graph, build_deficiency, classify
@@ -18,6 +18,9 @@ DONE = sys.maxsize  # the count of a covered pair when the counts are a list
 # The completion search's trunk runs alone for this many nodes; then probe
 # run i takes up to RESTART_UNIT * luby(i) nodes, and the trunk as many again.
 RESTART_UNIT = 2048
+# A search keeps a copy of its counts and bitsets at its deepest SNAPSHOTS open
+# branch points; a shallower one takes its lines back one by one.
+SNAPSHOTS = 16
 
 
 class BudgetExhausted(RuntimeError):
@@ -274,18 +277,28 @@ class _Cover:
             count[ia[b]] = (self.done if step < 0 else common.bit_count() if size == 1
                             else _count_cliques(adj, common, size))
 
+    def copy_state(self) -> tuple[list[int] | bytearray, list[int]]:
+        """A copy of the counts and the bitsets, to restore by slice assignment."""
+        return self.count[:], self.adj[:]
+
     def search(self) -> Generator[None, None, list[tuple[int, ...]] | None]:
         """Algorithm X on an explicit stack: each node branches on the pair with the
         fewest candidate lines, the first in sorted order on a tie, and tries its
-        lines in lexicographic order, covering each with `toggle(line, -1)` and
-        putting it back with `toggle(line, 1)`.  A byte count is searched with
-        find (memchr) for 0, 1, 2, ... up to the first hit; a list count with
-        min and index.  Yields once per node, before expanding it; returns the
-        first partition as sorted lines in the root's point names, or None."""
+        lines in lexicographic order, covering each with `toggle(line, -1)`.  A
+        byte count is searched with find (memchr) for 0, 1, 2, ... up to the
+        first hit; a list count with min and index.  A node with two or more
+        lines copies its state before covering the first (`copy_state`), and
+        going on to the next line restores that copy, so the lines below it are
+        never taken back one by one.  Only the deepest SNAPSHOTS open branch
+        points keep their copy; one whose copy was dropped takes its lines back
+        with `toggle(line, 1)`.  Yields once per node, before expanding it;
+        returns the first partition as sorted lines in the root's point names,
+        or None."""
         count, done, pairs, adj = self.count, self.done, self.pairs, self.adj
         wide, toggle = not isinstance(count, bytearray), self.toggle
-        chosen: list[tuple[int, ...]] = []
-        frames: list[Iterator[tuple[int, ...]]] = []  # candidate lines per depth
+        chosen: list[tuple[int, ...]] = []  # the line covered at each depth
+        frames = []  # the candidate lines left at each depth
+        snaps = []  # (depth, counts, bitsets) at the deepest open branch points
         while True:
             if wide:
                 fewest = min(count, default=done)
@@ -303,16 +316,24 @@ class _Cover:
             lines = _lines_through(adj, *pairs[at], self.k)
             if len(lines) != fewest:
                 raise RuntimeError("candidate count out of step with the uncovered pairs")
+            if fewest > 1 and SNAPSHOTS:
+                if len(snaps) == SNAPSHOTS:  # drop the shallowest before copying
+                    del snaps[0]
+                snaps.append((len(frames), *self.copy_state()))
             frames.append(iter(lines))
-            while True:
-                if len(chosen) == len(frames):
-                    toggle(chosen.pop(), 1)
-                line = next(frames[-1], None)
-                if line is not None:
-                    break
+            while (line := next(frames[-1], None)) is None:
                 frames.pop()
                 if not frames:
                     return None
+                if snaps and snaps[-1][0] == len(frames):
+                    snaps.pop()
+            depth = len(frames) - 1
+            if len(chosen) > depth:  # the next line here: back to this node's state
+                if snaps and snaps[-1][0] == depth:
+                    _, count[:], adj[:] = snaps[-1]
+                    del chosen[depth:]
+                while len(chosen) > depth:  # this node's copy was dropped
+                    toggle(chosen.pop(), 1)
             toggle(line, -1)
             chosen.append(line)
 

@@ -4,6 +4,8 @@ import itertools
 import random
 import sys
 import time
+import weakref
+from collections import Counter
 from functools import lru_cache
 from unittest import mock
 
@@ -429,25 +431,32 @@ def test_initial_counts_match_brute_force(name, seed):
 def test_counts_stay_in_step_as_lines_come_and_go(k, seed):
     # Cover random candidate lines among the pairs of 12 points, then take the
     # last few back as the search does: every count must equal a fresh count
-    # over the pairs left uncovered.
+    # over the pairs left uncovered, and restoring the copy taken before those
+    # lines must give the state toggling them back gives.
     assert isinstance(check_counts_in_step(12, k, random.Random(seed)), bytearray)
 
 
-@settings(max_examples=5, deadline=None)
-@given(seeds)
-def test_wide_counts_stay_in_step(seed):
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([3, 4, 5]), seeds)
+def test_wide_counts_stay_in_step(k, seed):
     # A pair of 26 points lies in C(24, 2) = 276 4-cliques, too many for a
-    # byte, so these counts are a list with DONE for a covered pair.
-    assert isinstance(check_counts_in_step(26, 4, random.Random(seed)), list)
+    # byte, so these counts are a list with DONE for a covered pair; for k = 3
+    # and 5 the counts of 12 points are widened to a list by hand.
+    n = 26 if k == 4 else 12
+    assert isinstance(check_counts_in_step(n, k, random.Random(seed), wide=True), list)
 
 
-def check_counts_in_step(n: int, k: int, rng: random.Random) -> list[int] | bytearray:
+def check_counts_in_step(n: int, k: int, rng: random.Random,
+                         wide: bool = False) -> list[int] | bytearray:
     """Cover and take back random lines of K_n with `toggle` as the search does,
-    check every count against a fresh count after each step, and return the
-    cover's counts."""
+    check every count against a fresh count after each step and the state
+    toggled back against the copy taken before those lines, restore that copy
+    over the lines covered again, and return the cover's counts."""
     pairs = list(itertools.combinations(range(n), 2))
     cover = search._Cover(n, k, pairs)
     cover.count_candidates(lambda: None)
+    if wide and isinstance(cover.count, bytearray):  # every pair is still uncovered
+        cover.count, cover.done = list(cover.count), search.DONE
 
     def assert_in_step():
         uncovered = [p for i, p in enumerate(pairs) if cover.count[i] != cover.done]
@@ -455,18 +464,29 @@ def check_counts_in_step(n: int, k: int, rng: random.Random) -> list[int] | byte
         fresh.count_candidates(lambda: None)
         assert [cover.count[cover.index[x][y]] for x, y in uncovered] == list(fresh.count)
 
-    chosen = []
+    chosen, copies = [], []  # copies[i] is the state before chosen[i] is covered
     for _ in range(3):
         open_pairs = [p for i, p in enumerate(pairs) if cover.count[i] not in (0, cover.done)]
         if not open_pairs:
             break
         line = rng.choice(search._lines_through(cover.adj, *rng.choice(open_pairs), k))
+        copies.append(cover.copy_state())
         cover.toggle(line, -1)
         chosen.append(line)
         assert_in_step()
-    for line in reversed(chosen[rng.randrange(len(chosen) + 1):]):
+    copies.append(cover.copy_state())
+    cut = rng.randrange(len(chosen) + 1)
+    for line in reversed(chosen[cut:]):
         cover.toggle(line, 1)
         assert_in_step()
+    toggled = cover.copy_state()
+    assert toggled == copies[cut]
+    count, adj = cover.count, cover.adj
+    for line in chosen[cut:]:
+        cover.toggle(line, -1)
+    cover.count[:], cover.adj[:] = copies[cut]  # in place, as the search restores
+    assert (cover.count, cover.adj) == toggled
+    assert cover.count is count and cover.adj is adj
     return cover.count
 
 
@@ -650,3 +670,64 @@ def test_initial_count_runs_once_however_many_probes(monkeypatch):
     assert calls.count("count_candidates") == 1
     assert calls.count("relabelled") > 2  # the trunk's copy and the probes'
     assert complete_from_deficiency(g, k, r) == first
+
+
+# ---------------------------------------------------------------------------
+# Copies of the search state at branch points
+
+@pytest.mark.parametrize("snapshots", [0, 1])
+def test_toggle_fallback_keeps_every_k3_completion(monkeypatch, snapshots):
+    # With fewer copies than open branch points the nodes left without one
+    # take their lines back by toggle: the same completions in as many nodes.
+    monkeypatch.setattr(search, "SNAPSHOTS", snapshots)
+    for name in K3_ENTRIES:
+        test_every_k3_catalog_graph_completes(name)
+
+
+@pytest.mark.parametrize("snapshots", [0, 1])
+def test_toggle_fallback_keeps_the_exhaustion_budget(monkeypatch, snapshots):
+    monkeypatch.setattr(search, "SNAPSHOTS", snapshots)
+    test_probes_keep_a_proof_of_non_existence_within_twice_the_trunk()
+
+
+@pytest.mark.parametrize("snapshots", [0, 1])
+def test_toggle_fallback_keeps_the_k4_budget_messages(monkeypatch, snapshots):
+    monkeypatch.setattr(search, "SNAPSHOTS", snapshots)
+    test_k4_budget_messages(monkeypatch, "pent4_20", 300, 0, list)
+    test_k4_budget_messages(monkeypatch, "pent4_13", 20000, 4, bytearray)
+
+
+class TrackedBytes(bytearray):  # a bytearray or list takes no weak reference
+    pass
+
+
+class TrackedList(list):
+    pass
+
+
+@pytest.mark.parametrize("name, nodes, width", [("pent3_12", 11034, bytearray),
+                                                ("pent4_20", 300, list)])
+def test_a_run_holds_at_most_snapshots_copies(monkeypatch, name, nodes, width):
+    # Each copy of the counts is tracked until it is freed, per run (trunk or
+    # probe): the deepest branch points fill the cap, and no run exceeds it.
+    live, most = Counter(), Counter()
+    copy_state = search._Cover.copy_state
+
+    def release(cover):
+        live[cover] -= 1
+
+    def spy(self):
+        count, adj = copy_state(self)
+        assert type(count) is width
+        tracked = (TrackedBytes if width is bytearray else TrackedList)(count)
+        weakref.finalize(tracked, release, self)
+        live[self] += 1
+        most[self] = max(most[self], live[self])
+        return tracked, adj
+    monkeypatch.setattr(search._Cover, "copy_state", spy)
+    g, k, r = target(name)
+    try:
+        complete_from_deficiency(g, k, r, SearchBudget(max_nodes=nodes))
+    except BudgetExhausted:
+        pass
+    assert max(most.values()) == search.SNAPSHOTS
