@@ -131,19 +131,21 @@ def cmd_pent2_count(args, out) -> int:
 
 
 def cmd_pent2_enumerate(args, out) -> int:
-    systems = search.pent2_enumerate(args.r)
+    """Builds, writes and drops one design at a time, so memory stays flat in r."""
+    systems = search.pent2_designs(args.r)
     if args.outdir:
         outdir = Path(args.outdir)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliFailure(EXIT_INPUT, f"cannot write {outdir}: {exc}") from None
-    for ctype, design in systems:
+    count = 0
+    for count, (ctype, design) in enumerate(systems, 1):
         name = f"pent2_r{args.r}_" + "+".join(str(c) for c in ctype)
         if args.outdir:
             _write(outdir / f"{name}.design", serialize_design(design))
         print(f"design: {name} v={design.v} b={design.b}", file=out)
-    _machine(out, r=args.r, count=len(systems))
+    _machine(out, r=args.r, count=count)
     return EXIT_OK
 
 

@@ -90,6 +90,13 @@ class Design(_DesignFields):
                     i for i, line in enumerate(ordered) if line == repeated][1])
         return cls(v=v, k=k, lines=tuple(canon), r_claimed=r_claimed, kind=kind)
 
+    def keep(self, mask: Iterable[Any], r_claimed: int | None = None) -> "Design":
+        """The design on the same points with the lines that `mask` marks (as
+        `itertools.compress` reads it), the same line objects.  A subsequence
+        of canonical, sorted, distinct lines is all three again, so nothing
+        is checked here: every mask gives a valid design."""
+        return type(self)(self.v, self.k, tuple(compress(self.lines, mask)), r_claimed, self.kind)
+
     @property
     def b(self) -> int:
         return len(self.lines)

@@ -8,7 +8,7 @@ import random
 import sys
 import time
 from functools import lru_cache
-from typing import Callable, Generator, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from .core import Design, checked, parameters
 from .defgraph import Graph, build_deficiency, classify
@@ -99,28 +99,42 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
+@lru_cache(maxsize=4)
+def _complete(n: int) -> Design:
+    """K_n as a design whose lines are the pairs of `_pairs(n)`, checked once per n."""
+    return Design.make(v=n, k=2, lines=_pairs(n))
+
+
 def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
-    """K_n minus vertex-disjoint cycles of the given lengths; lines are the
-    remaining edges, picked from one tuple of pairs per n by a mask that
-    clears the deleted pairs, so designs on the same points share their
-    line tuples."""
+    """K_n minus vertex-disjoint cycles of the given lengths, each at least 4;
+    lines are the remaining edges, kept from the one checked K_n by a mask
+    that clears the deleted pairs, so designs on the same points share
+    their line tuples."""
+    if any(length < 4 for length in ctype):
+        raise SearchPreconditionError(f"cycle lengths must be at least 4, got {ctype}")
     n = sum(ctype)
-    pairs = _pairs(n)
-    keep = bytearray(b"\x01") * len(pairs)
+    whole = _complete(n)
+    keep = bytearray(b"\x01") * whole.b
     start = 0
     for length in ctype:
         end = start + length - 1
         for x, y in [*zip(range(start, end), range(start + 1, end + 1)), (start, end)]:
-            keep[x * (2 * n - x - 1) // 2 + y - x - 1] = 0  # the index of (x, y) in pairs
+            keep[x * (2 * n - x - 1) // 2 + y - x - 1] = 0  # the index of (x, y) in K_n's lines
         start += length
-    return Design.make(v=n, k=2, lines=list(itertools.compress(pairs, keep)), r_claimed=n - 3)
+    return whole.keep(keep, r_claimed=n - 3)
+
+
+def pent2_designs(r: int) -> Iterator[tuple[tuple[int, ...], Design]]:
+    """All PENT(2,r) up to isomorphism, keyed by deleted cycle type, each
+    made only when it is reached; r is checked at the call."""
+    if r < 2:
+        raise SearchPreconditionError(f"need r >= 2, got {r}")
+    return ((ctype, design_from_cycle_type(ctype)) for ctype in cycle_types(r + 3))
 
 
 def pent2_enumerate(r: int) -> list[tuple[tuple[int, ...], Design]]:
     """All PENT(2,r) up to isomorphism, keyed by deleted cycle type."""
-    if r < 2:
-        raise SearchPreconditionError(f"need r >= 2, got {r}")
-    return [(ctype, design_from_cycle_type(ctype)) for ctype in cycle_types(r + 3)]
+    return list(pent2_designs(r))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from pentforge import catalog, cli
+from pentforge import catalog, cli, search
 from pentforge.cli import run
 from pentforge.construct import degenerate_pent, serialize_gdd, td3
 from pentforge.core import Design, DesignError, parse_design, serialize_design
@@ -145,6 +145,39 @@ def test_pent2_enumerate(tmp_path):
     assert (tmp_path / "pent2_r5_4+4.design").exists()
     assert (tmp_path / "pent2_r5_8.design").exists()
     assert "count: 2" in out
+
+
+def test_pent2_enumerate_writes_each_design_before_making_the_next(tmp_path, monkeypatch):
+    events = []
+    make = cli.search.design_from_cycle_type
+    monkeypatch.setattr(cli.search, "design_from_cycle_type",
+                        lambda ctype: events.append("made") or make(ctype))
+    monkeypatch.setattr(cli, "_write", lambda path, text: events.append("written"))
+    code, out = invoke(["pent2", "enumerate", "12", "--outdir", str(tmp_path)])
+    assert code == 0 and "count: 8" in out
+    assert events == ["made", "written"] * 8
+
+
+def test_pent2_enumerate_files_are_the_serialized_designs(tmp_path):
+    code, out = invoke(["pent2", "enumerate", "20", "--outdir", str(tmp_path)])
+    systems = search.pent2_enumerate(20)
+    assert code == 0 and out.endswith(f"r: 20\ncount: {len(systems)}\n")
+    for ctype, design in systems:
+        name = "pent2_r20_" + "+".join(map(str, ctype))
+        assert (tmp_path / f"{name}.design").read_text() == serialize_design(design)
+    assert len(list(tmp_path.iterdir())) == len(systems)
+
+
+def test_pent2_enumerate_keeps_one_design_at_a_time(tmp_path):
+    # Holding all 1067 PENT(2,40) at once costs about 8 MB of line tuples.
+    tracemalloc.start()
+    try:
+        code, out = invoke(["pent2", "enumerate", "40", "--outdir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith("count: 1067\n")
+    assert peak < 2 * 2 ** 20
 
 
 def test_complete(tmp_path):

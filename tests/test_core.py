@@ -1,13 +1,15 @@
 from collections import Counter
+from functools import lru_cache
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentforge import catalog, core
-from pentforge.core import (DESIGN, Design, DesignError, ParseError, VerificationReport,
+from pentforge.core import (DESIGN, KINDS, Design, DesignError, ParseError, VerificationReport,
                             divisibility_ok, parameters, parse_design, read_records,
                             records, serialize_design, verify_pls)
-from pentforge.search import design_from_cycle_type, pent2_enumerate
+from pentforge.search import cycle_types, design_from_cycle_type, pent2_enumerate
 
 
 def ref_make(v, k, lines):
@@ -310,6 +312,39 @@ def test_cycle_type_designs_share_line_tuples():
     ids_a = {id(line) for line in a.lines if line in common}
     ids_b = {id(line) for line in b.lines if line in common}
     assert ids_a == ids_b
+
+
+@lru_cache(maxsize=None)
+def loaded(entry_id):
+    return catalog.catalog_load(entry_id)
+
+
+@st.composite
+def kept_designs(draw):
+    """A catalog design or a PENT(2,r), of any kind, and a mask over its lines
+    that may be shorter or longer than them."""
+    if draw(st.booleans()):
+        d = loaded(draw(st.sampled_from([e.id for e in catalog.catalog_entries()])))
+    else:
+        d = design_from_cycle_type(draw(st.integers(4, 24).flatmap(
+            lambda n: st.sampled_from(cycle_types(n)))))
+    d = d._replace(kind=draw(st.sampled_from(KINDS)))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    mask = [rng.random() < p for _ in range(rng.randint(0, d.b + 2))]
+    return d, mask, draw(st.none() | st.integers(0, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kept_designs())
+def test_keep_equals_make_on_the_kept_lines(case):
+    d, mask, r = case
+    kept = d.keep(mask, r)
+    made = Design.make(d.v, d.k, list(compress(d.lines, mask)), r, d.kind)
+    assert type(kept) is Design and kept == made
+    ids = {id(line) for line in d.lines}
+    assert all(id(line) in ids for line in kept.lines)
+    assert verify_pls(kept) == verify_pls(made)
 
 
 def ref_where(v, k, specs):

@@ -117,6 +117,36 @@ def test_pent2_enumerate_rejects_small_r():
         pent2_enumerate(1)
 
 
+@pytest.mark.parametrize("ctype", [(0, 5), (3, 4), (1, 8), (4, 2, 4), (-1, 6), (3,)])
+def test_design_from_cycle_type_rejects_a_part_below_4(ctype):
+    with pytest.raises(SearchPreconditionError, match="at least 4"):
+        search.design_from_cycle_type(ctype)
+
+
+def pent2_digest(rs) -> str:
+    return hashlib.sha256("".join(serialize_design(d) for r in rs
+                                  for _, d in pent2_enumerate(r)).encode()).hexdigest()
+
+
+def test_pent2_output_is_pinned_byte_for_byte():
+    assert pent2_digest([40]) == "64f6c95fa98562d83d98cb457350ca4014380b55f174be0e3365ab2e4c7b0bd5"
+    assert pent2_digest(range(2, 21)) == (
+        "34fd8e7642176bea0bac4d1512d9c0d8b22c4909eb9d24537e0a313876f72177")
+
+
+def test_pent2_enumerate_checks_lines_once(monkeypatch):
+    made = []
+    make = Design.make
+
+    def counted(cls, *args, **kwargs):
+        made.append(kwargs.get("v"))
+        return make(*args, **kwargs)
+    monkeypatch.setattr(Design, "make", classmethod(counted))
+    search._complete.cache_clear()
+    assert len(pent2_enumerate(40)) == 1067
+    assert made == [43]  # K_43, once
+
+
 # ---------------------------------------------------------------------------
 # Completion search
 
