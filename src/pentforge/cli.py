@@ -132,7 +132,7 @@ def cmd_pent2_count(args, out) -> int:
 
 def cmd_pent2_enumerate(args, out) -> int:
     """Builds, writes and drops one design at a time, so memory stays flat in r."""
-    systems = search.pent2_designs(args.r)
+    systems = search.pent2_enumerate(args.r)
     if args.outdir:
         outdir = Path(args.outdir)
         try:

@@ -75,22 +75,24 @@ def pent2_count(r: int) -> int:
             + partition_p(r - 1) + partition_p(r - 2) - partition_p(r - 3))
 
 
-def cycle_types(n: int, smallest: int = 4) -> list[tuple[int, ...]]:
-    """Partitions of n into parts >= smallest, each sorted descending."""
-    result: list[tuple[int, ...]] = []
+def cycle_types(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts >= 4, each sorted descending, yielded one at
+    a time in ascending order."""
+    return _cycle_types(n, n, ())
 
-    def extend(remaining: int, cap: int, acc: list[int]) -> None:
-        if remaining == 0:
-            result.append(tuple(acc))
-            return
-        for part in range(min(cap, remaining), smallest - 1, -1):
-            if remaining - part == 0 or remaining - part >= smallest:
-                acc.append(part)
-                extend(remaining - part, part, acc)
-                acc.pop()
 
-    extend(n, n, [])
-    return sorted(result)
+def _cycle_types(n: int, cap: int, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """`head` followed by each partition of n into parts from 4 to cap, in
+    ascending order; a part below n is tried only if what is left splits into
+    parts from 4 up to it, and n itself comes last without a deeper call."""
+    if n == 0:
+        yield head  # the empty partition of 0; no deeper call passes 0
+    for part in range(4, min(cap, n - 4) + 1):
+        rest = n - part
+        if -(-rest // part) <= rest // 4:
+            yield from _cycle_types(rest, part, (*head, part))
+    if 4 <= n <= cap:
+        yield (*head, n)
 
 
 @lru_cache(maxsize=4)
@@ -110,8 +112,8 @@ def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
     lines are the remaining edges, kept from the one checked K_n by a mask
     that clears the deleted pairs, so designs on the same points share
     their line tuples."""
-    if any(length < 4 for length in ctype):
-        raise SearchPreconditionError(f"cycle lengths must be at least 4, got {ctype}")
+    if not ctype or any(length < 4 for length in ctype):
+        raise SearchPreconditionError(f"need cycles of length at least 4, got {ctype}")
     n = sum(ctype)
     whole = _complete(n)
     keep = bytearray(b"\x01") * whole.b
@@ -124,17 +126,12 @@ def design_from_cycle_type(ctype: tuple[int, ...]) -> Design:
     return whole.keep(keep, r_claimed=n - 3)
 
 
-def pent2_designs(r: int) -> Iterator[tuple[tuple[int, ...], Design]]:
+def pent2_enumerate(r: int) -> Iterator[tuple[tuple[int, ...], Design]]:
     """All PENT(2,r) up to isomorphism, keyed by deleted cycle type, each
     made only when it is reached; r is checked at the call."""
     if r < 2:
         raise SearchPreconditionError(f"need r >= 2, got {r}")
     return ((ctype, design_from_cycle_type(ctype)) for ctype in cycle_types(r + 3))
-
-
-def pent2_enumerate(r: int) -> list[tuple[tuple[int, ...], Design]]:
-    """All PENT(2,r) up to isomorphism, keyed by deleted cycle type."""
-    return list(pent2_designs(r))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_criterion_4_composition_and_olp_additivity():
 def test_criterion_5_enumeration():
     with criterion(5, budget_seconds=5.0):
         for r in range(2, 21):
-            systems = pent2_enumerate(r)
+            systems = list(pent2_enumerate(r))
             assert pent2_count(r) == len(systems)
             for _, design in systems:
                 assert verify_pentagonal(design).ok

@@ -160,7 +160,7 @@ def test_pent2_enumerate_writes_each_design_before_making_the_next(tmp_path, mon
 
 def test_pent2_enumerate_files_are_the_serialized_designs(tmp_path):
     code, out = invoke(["pent2", "enumerate", "20", "--outdir", str(tmp_path)])
-    systems = search.pent2_enumerate(20)
+    systems = list(search.pent2_enumerate(20))
     assert code == 0 and out.endswith(f"r: 20\ncount: {len(systems)}\n")
     for ctype, design in systems:
         name = "pent2_r20_" + "+".join(map(str, ctype))

@@ -327,7 +327,7 @@ def kept_designs(draw):
         d = loaded(draw(st.sampled_from([e.id for e in catalog.catalog_entries()])))
     else:
         d = design_from_cycle_type(draw(st.integers(4, 24).flatmap(
-            lambda n: st.sampled_from(cycle_types(n)))))
+            lambda n: st.sampled_from(list(cycle_types(n))))))
     d = d._replace(kind=draw(st.sampled_from(KINDS)))
     rng = draw(st.randoms(use_true_random=False))
     p = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))

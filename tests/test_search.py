@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -83,12 +84,30 @@ def test_pent2_count_equals_min4_partitions():
 
 def test_cycle_types_match_oracle():
     for n in range(4, 24):
-        assert cycle_types(n) == brute_force_min4_partitions(n)
+        assert list(cycle_types(n)) == brute_force_min4_partitions(n)
+
+
+def test_cycle_types_start_at_once():
+    # 203 has about 1.4e10 such types, so no list of them could ever be built.
+    assert list(itertools.islice(cycle_types(203), 3)) == [
+        (5,) * 3 + (4,) * 47, (5,) * 7 + (4,) * 42, (5,) * 11 + (4,) * 37]
+
+
+def test_cycle_types_hold_one_partition_at_a_time():
+    # A list of the 16724 types of 63 alone takes about 1.9 MB.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in cycle_types(63))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 16724
+    assert peak < 64 * 2 ** 10
 
 
 def test_pent2_enumerate_counts_and_validity():
     for r in range(2, 21):
-        systems = pent2_enumerate(r)
+        systems = list(pent2_enumerate(r))
         assert len(systems) == pent2_count(r)
         types = [ctype for ctype, _ in systems]
         assert len(set(types)) == len(types)  # pairwise non-isomorphic
@@ -117,7 +136,7 @@ def test_pent2_enumerate_rejects_small_r():
         pent2_enumerate(1)
 
 
-@pytest.mark.parametrize("ctype", [(0, 5), (3, 4), (1, 8), (4, 2, 4), (-1, 6), (3,)])
+@pytest.mark.parametrize("ctype", [(0, 5), (3, 4), (1, 8), (4, 2, 4), (-1, 6), (3,), ()])
 def test_design_from_cycle_type_rejects_a_part_below_4(ctype):
     with pytest.raises(SearchPreconditionError, match="at least 4"):
         search.design_from_cycle_type(ctype)
@@ -143,7 +162,7 @@ def test_pent2_enumerate_checks_lines_once(monkeypatch):
         return make(*args, **kwargs)
     monkeypatch.setattr(Design, "make", classmethod(counted))
     search._complete.cache_clear()
-    assert len(pent2_enumerate(40)) == 1067
+    assert len(list(pent2_enumerate(40))) == 1067
     assert made == [43]  # K_43, once
 
 
